@@ -6,6 +6,7 @@ open Apor_util
 open Apor_quorum
 open Apor_core
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let section title =

@@ -1,10 +1,8 @@
 (* Membership bench: what does admitting one node cost?
 
-   For each overlay size the sweep runs the same staggered-join schedule
-   twice — once through the decentralized quorum-write protocol
-   (lib/membership) and once through the legacy coordinator
-   ([Config.centralized_membership]) — and reports per-join admission
-   latency plus the membership-class messages and bytes the whole overlay
+   For each overlay size the sweep runs a staggered-join schedule through
+   the quorum-write protocol (lib/membership) and reports per-join
+   admission latency plus the membership-class messages and bytes the whole overlay
    exchanged from the join request until the view settles.  The message
    window deliberately includes the post-commit announce and the gossip
    it triggers: the protocol's cost is the full ripple, not just the
@@ -12,8 +10,7 @@
 
 open Apor_util
 open Apor_overlay
-module Config = Apor_overlay_core.Config
-module View = Apor_overlay_core.View
+open Apor_overlay_core
 module Collector = Apor_trace.Collector
 module Event = Apor_trace.Event
 
@@ -22,7 +19,6 @@ let section title =
 
 type point = {
   m_n : int;  (** genesis members *)
-  m_mode : string;  (** "quorum" or "centralized" *)
   m_joiners : int;
   m_join_mean_s : float;
   m_join_max_s : float;
@@ -33,8 +29,7 @@ type point = {
           (sent + received) *)
   m_hot_distinct : int;
       (** how many different endpoints were the busiest one across the
-          joins: the coordinator is always the same node, quorum sponsors
-          rotate with the joiner's contact list *)
+          joins: sponsors rotate with the joiner's contact list *)
 }
 
 let warmup_s = 30.
@@ -49,21 +44,21 @@ let admitted cluster j =
   | Some v -> View.contains_port v j
   | None -> false
 
-let measure ~seed ~n ~centralized ?(joiners = 3) () =
+let measure ~seed ~n ?(joiners = 3) () =
   let total = n + joiners in
   let rtt = Array.make_matrix total total 40. in
   for i = 0 to total - 1 do
     rtt.(i).(i) <- 0.
   done;
-  let config = { Config.quorum_default with centralized_membership = centralized } in
+  let config = Config.quorum_default in
   let trace = Collector.create ~capacity:1024 () in
   (* Count membership-class sends only while a join window is open; the
      subscription sees every event even after the tiny ring wraps. *)
   let counting = ref false in
   let msgs = ref 0 in
   let bytes = ref 0 in
-  (* sent + received per endpoint; +1 slot for a possible coordinator *)
-  let per_node = Array.make (total + 1) 0 in
+  (* sent + received per endpoint *)
+  let per_node = Array.make total 0 in
   (* admission latency from the trace, not the poll grid: the instant the
      joiner adopts its first view (the committed one containing it) *)
   let joining = ref (-1) in
@@ -104,16 +99,9 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
     done;
     if not (admitted cluster j) then
       failwith
-        (Printf.sprintf "membership bench: join of node %d not admitted within %gs \
-                         (n=%d, %s)"
-           j join_deadline_s n
-           (if centralized then "centralized" else "quorum"));
-    (* the coordinator path predates View_adopted; fall back to the poll
-       grid there (granularity [poll_s]) *)
-    let latency =
-      if Float.is_nan !admit_time then Cluster.now cluster -. t0
-      else !admit_time -. t0
-    in
+        (Printf.sprintf "membership bench: join of node %d not admitted within %gs (n=%d)"
+           j join_deadline_s n);
+    let latency = !admit_time -. t0 in
     Cluster.run_until cluster (Cluster.now cluster +. settle_s);
     counting := false;
     joining := -1;
@@ -132,7 +120,6 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
   in
   {
     m_n = n;
-    m_mode = (if centralized then "centralized" else "quorum");
     m_joiners = joiners;
     m_join_mean_s = sum (fun (l, _, _, _, _) -> l) /. k;
     m_join_max_s =
@@ -144,7 +131,7 @@ let measure ~seed ~n ~centralized ?(joiners = 3) () =
   }
 
 let run ~quick ~seed =
-  section "Membership: admission cost, quorum vs centralized";
+  section "Membership: admission cost";
   let sizes = if quick then [ 49; 144 ] else [ 49; 144; 400 ] in
   Printf.printf
     "staggered joins of %d nodes after a %gs warm-up; msgs/join counts every\n\
@@ -155,38 +142,30 @@ let run ~quick ~seed =
     Texttable.create
       ~header:
         [
-          "n"; "mode"; "join mean (s)"; "join max (s)"; "msgs/join"; "bytes/join";
+          "n"; "join mean (s)"; "join max (s)"; "msgs/join"; "bytes/join";
           "hot node"; "hot spread";
         ]
   in
-  let points = ref [] in
   List.iter
     (fun n ->
-      List.iter
-        (fun centralized ->
-          let p = measure ~seed ~n ~centralized () in
-          points := p :: !points;
-          Texttable.add_row table
-            [
-              string_of_int p.m_n;
-              p.m_mode;
-              Printf.sprintf "%.2f" p.m_join_mean_s;
-              Printf.sprintf "%.2f" p.m_join_max_s;
-              Printf.sprintf "%.1f" p.m_msgs_per_join;
-              Printf.sprintf "%.0f" p.m_bytes_per_join;
-              Printf.sprintf "%.1f" p.m_hot_node_msgs;
-              Printf.sprintf "%d/%d" p.m_hot_distinct p.m_joiners;
-            ])
-        [ false; true ])
+      let p = measure ~seed ~n () in
+      Texttable.add_row table
+        [
+          string_of_int p.m_n;
+          Printf.sprintf "%.2f" p.m_join_mean_s;
+          Printf.sprintf "%.2f" p.m_join_max_s;
+          Printf.sprintf "%.1f" p.m_msgs_per_join;
+          Printf.sprintf "%.0f" p.m_bytes_per_join;
+          Printf.sprintf "%.1f" p.m_hot_node_msgs;
+          Printf.sprintf "%d/%d" p.m_hot_distinct p.m_joiners;
+        ])
     sizes;
   print_string (Texttable.render table);
   Printf.printf
     "\n\"hot node\" = membership packets through the busiest single endpoint\n\
      per join (sent + received); \"hot spread\" = how many different\n\
-     endpoints played that role across the joins.  Both modes move O(n)\n\
-     messages per admission in total — the quorum protocol because the\n\
-     committed view is announced to every member, the coordinator because\n\
-     every member leases from it — but the quorum's hot endpoint is a\n\
-     different, freely replaceable sponsor each join (its critical path\n\
-     is the O(sqrt n)-ack write to the sponsor's row+column), while the\n\
-     coordinator is the same irreplaceable node every time.\n"
+     endpoints played that role across the joins.  An admission moves\n\
+     O(n) messages in total, because the committed view is announced to\n\
+     every member, but its hot endpoint is a different, freely replaceable\n\
+     sponsor each join (its critical path is the O(sqrt n)-ack write to\n\
+     the sponsor's row+column).\n"

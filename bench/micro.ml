@@ -182,16 +182,16 @@ type oracle_run = {
 
 let oracle_once ~n ~seed =
   let open Apor_trace in
-  let config = Apor_overlay.Config.quorum_default in
+  let config = Apor_overlay_core.Config.quorum_default in
   let world = Apor_topology.Internet.generate ~seed ~n () in
   let tr = Collector.create () in
   let staleness_s =
-    float_of_int config.Apor_overlay.Config.staleness_windows
-    *. config.Apor_overlay.Config.routing_interval_s
+    float_of_int config.Apor_overlay_core.Config.staleness_windows
+    *. config.Apor_overlay_core.Config.routing_interval_s
   in
   let oracle =
     Oracle.create ~raise_on_violation:false
-      ~metric:config.Apor_overlay.Config.metric ~staleness_s ()
+      ~metric:config.Apor_overlay_core.Config.metric ~staleness_s ()
   in
   Oracle.attach oracle tr;
   let c =
@@ -290,11 +290,11 @@ let write_json ~path ~seed ~jobs ~runs ~oracle ~(dataplane : Dataplane.sim_point
   List.iteri
     (fun i (m : Membership.point) ->
       p
-        "    { \"n\": %d, \"mode\": %S, \"joiners\": %d, \"join_mean_s\": %.3f, \
+        "    { \"n\": %d, \"mode\": \"quorum\", \"joiners\": %d, \"join_mean_s\": %.3f, \
          \"join_max_s\": %.3f,\n\
         \      \"msgs_per_join\": %.1f, \"bytes_per_join\": %.0f, \
          \"hot_node_msgs\": %.1f, \"hot_distinct\": %d }%s\n"
-        m.Membership.m_n m.Membership.m_mode m.Membership.m_joiners
+        m.Membership.m_n m.Membership.m_joiners
         m.Membership.m_join_mean_s m.Membership.m_join_max_s
         m.Membership.m_msgs_per_join m.Membership.m_bytes_per_join
         m.Membership.m_hot_node_msgs m.Membership.m_hot_distinct
@@ -317,12 +317,14 @@ let scaling ?json ~quick ~jobs ~seed () =
   let ns = if quick then [ 49; 144 ] else [ 49; 144; 400; 900 ] in
   let jobs = max 1 jobs in
   if jobs > 1 then Printf.printf "sweep points on %d domains\n%!" jobs;
-  let full_config = Apor_overlay.Config.full_table Apor_overlay.Config.quorum_default in
+  let full_config =
+    Apor_overlay_core.Config.full_table Apor_overlay_core.Config.quorum_default
+  in
   let points =
     List.concat_map
       (fun n ->
         [
-          (n, "delta", Apor_overlay.Config.quorum_default); (n, "full", full_config);
+          (n, "delta", Apor_overlay_core.Config.quorum_default); (n, "full", full_config);
         ])
       ns
   in
@@ -375,13 +377,8 @@ let scaling ?json ~quick ~jobs ~seed () =
   | Some path ->
       Printf.printf "\nmeasuring data-plane throughput for the baseline row...\n%!";
       let dataplane = Dataplane.measure_sim ~n:49 ~seed ~duration_s:60. in
-      Printf.printf "measuring membership admission cost for the baseline rows...\n%!";
-      let membership =
-        [
-          Membership.measure ~seed ~n:49 ~centralized:false ();
-          Membership.measure ~seed ~n:49 ~centralized:true ();
-        ]
-      in
+      Printf.printf "measuring membership admission cost for the baseline row...\n%!";
+      let membership = [ Membership.measure ~seed ~n:49 () ] in
       write_json ~path ~seed ~jobs ~runs ~oracle ~dataplane ~membership;
       Printf.printf "\nwrote %s\n" path)
 

@@ -8,6 +8,7 @@
 open Apor_sim
 open Apor_topology
 open Apor_overlay
+open Apor_overlay_core
 open Apor_trace
 
 let () =

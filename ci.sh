@@ -12,6 +12,26 @@ fi
 dune build
 dune runtest
 
+# The UDP gates below detect socket-less sandboxes themselves: they print
+# "...; skipping" and exit 0.  Count those skips and report them at the
+# end, so a run without loopback sockets never reads as fully green.
+udp_gates=0
+udp_skipped=0
+udp_gate() {
+  udp_gates=$((udp_gates + 1))
+  out=$(mktemp)
+  if ! "$@" > "$out"; then
+    cat "$out"
+    rm -f "$out"
+    return 1
+  fi
+  cat "$out"
+  if grep -q '; skipping$' "$out"; then
+    udp_skipped=$((udp_skipped + 1))
+  fi
+  rm -f "$out"
+}
+
 # Bench smoke: the quick scaling sweep on 2 domains exercises the
 # calendar-queue engine, the parallel sweep runner and the JSON writer
 # end to end (the oracle run inside it must report zero violations).
@@ -27,7 +47,7 @@ dune exec test/test_node_core.exe -- test core
 # Deploy smoke: the same Node_core over real loopback UDP, with the
 # trace oracle attached live. The binary detects socket-less sandboxes
 # itself and exits 0 with a skip notice in that case.
-dune exec bin/apor.exe -- deploy-local --n 9 --quick
+udp_gate dune exec bin/apor.exe -- deploy-local --n 9 --quick
 
 # Chaos smoke (sim): replay the smoke scenario with the oracle attached
 # and fail on any out-of-grace violation or unrecovered pair. Run it
@@ -48,7 +68,7 @@ rm -f /tmp/apor-chaos-a.json /tmp/apor-chaos-b.json
 # sockets at the compressed deploy timescale (~8 s of wall clock,
 # includes a real node crash + restart-with-rejoin). Like deploy-local,
 # the binary exits 0 with a skip notice in socket-less sandboxes.
-dune exec bin/apor.exe -- chaos --scenario examples/chaos/smoke.scn \
+udp_gate dune exec bin/apor.exe -- chaos --scenario examples/chaos/smoke.scn \
   --runtime udp --base-port 9500
 
 # Decentralized membership gate: kill node 0 permanently at t=30 (the
@@ -67,7 +87,7 @@ cmp /tmp/apor-chaos-m-a.json /tmp/apor-chaos-m-b.json || {
   exit 1
 }
 rm -f /tmp/apor-chaos-m-a.json /tmp/apor-chaos-m-b.json
-dune exec bin/apor.exe -- chaos --scenario examples/chaos/coordinator_kill_forever.scn \
+udp_gate dune exec bin/apor.exe -- chaos --scenario examples/chaos/coordinator_kill_forever.scn \
   --runtime udp --base-port 9900
 
 # Data-plane smoke (sim): a short churn run with the oracle attached;
@@ -87,7 +107,7 @@ rm -f /tmp/apor-traffic-a.json /tmp/apor-traffic-b.json
 # Data-plane smoke (udp): real datagrams over loopback sockets; the
 # command exits 1 on conservation violations or zero goodput, and exits
 # 0 with a skip notice in socket-less sandboxes.
-dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --base-port 9700
+udp_gate dune exec bin/apor.exe -- traffic --runtime udp --n 8 --duration 4 --base-port 9700
 
 # Documentation build (odoc). The libraries are private, so the pages live
 # under @doc-private. Skipped when odoc isn't installed (offline images).
@@ -96,3 +116,5 @@ if command -v odoc >/dev/null 2>&1; then
 else
   echo "ci: odoc not installed; skipping documentation build" >&2
 fi
+
+echo "ci: $udp_skipped of $udp_gates UDP gates skipped (no loopback sockets)"

@@ -14,7 +14,7 @@
     nodes vs ~300 quorum nodes; all 416 PlanetLab sites cost 307 vs
     86 Kbps) fall out of [max_nodes_within] and [total_bps]. *)
 
-type algorithm = Apor_overlay.Config.algorithm = Full_mesh | Quorum
+type algorithm = Apor_overlay_core.Config.algorithm = Full_mesh | Quorum
 
 val probing_bps : n:int -> float
 (** Paper expression: [49.1 n]. *)
@@ -25,12 +25,12 @@ val routing_bps : algorithm -> n:int -> float
 val total_bps : algorithm -> n:int -> float
 (** probing + routing. *)
 
-val probing_bps_exact : config:Apor_overlay.Config.t -> n:int -> float
+val probing_bps_exact : config:Apor_overlay_core.Config.t -> n:int -> float
 (** From first principles: probes and replies of
     {!Apor_linkstate.Overhead.probe_bytes} to [n - 1] peers per probing
     interval, both directions. *)
 
-val routing_bps_exact : config:Apor_overlay.Config.t -> n:int -> float
+val routing_bps_exact : config:Apor_overlay_core.Config.t -> n:int -> float
 (** Exact expected steady-state routing traffic per node (averaged over
     nodes — grid degrees differ by position), assuming no failures and no
     packet loss. *)

@@ -11,7 +11,6 @@ type action =
   | Restart of int
   | Kill of int
   | Join of int
-  | Coordinator_set of { down : bool }
   | Frame_on of { node : int; kind : Scenario.frame_kind; rate : float }
   | Frame_off of { node : int; kind : Scenario.frame_kind; rate : float }
 
@@ -30,8 +29,6 @@ let pp_action ppf = function
   | Restart i -> Format.fprintf ppf "restart %d" i
   | Kill i -> Format.fprintf ppf "kill %d (permanent)" i
   | Join i -> Format.fprintf ppf "join %d" i
-  | Coordinator_set { down } ->
-      Format.fprintf ppf "coordinator %s" (if down then "down" else "up")
   | Frame_on { node; kind; rate } ->
       Format.fprintf ppf "frame-%s on node %d p=%g" (Scenario.kind_name kind) node rate
   | Frame_off { node; kind; _ } ->
@@ -51,8 +48,6 @@ let actions_of (ev : Scenario.event) =
   | Node_crash { node; _ } -> [ (t0, Crash node); (t1, Restart node) ]
   | Node_kill { node } -> [ (t0, Kill node) ]
   | Node_join { node } -> [ (t0, Join node) ]
-  | Coordinator_outage _ ->
-      [ (t0, Coordinator_set { down = true }); (t1, Coordinator_set { down = false }) ]
   | Frame_fault { node; kind; rate; _ } ->
       [ (t0, Frame_on { node; kind; rate }); (t1, Frame_off { node; kind; rate }) ]
 
@@ -97,11 +92,8 @@ end
 (* Simulator: every action becomes an engine timer rewriting the
    network. *)
 
-let install_sim (type msg) (engine : msg Apor_sim.Engine.t) ?coordinator_port ?on_join
-    (scn : Scenario.t) =
+let install_sim (type msg) (engine : msg Apor_sim.Engine.t) ?on_join (scn : Scenario.t) =
   let open Apor_sim in
-  if Scenario.uses_coordinator scn && coordinator_port = None then
-    invalid_arg "Injector.install_sim: scenario needs a coordinator but the cluster has none";
   if Scenario.joins scn <> [] && on_join = None then
     invalid_arg "Injector.install_sim: scenario has node-join events but no on_join callback";
   let net = Engine.network engine in
@@ -168,10 +160,6 @@ let install_sim (type msg) (engine : msg Apor_sim.Engine.t) ?coordinator_port ?o
     | Join i -> (
         match on_join with
         | Some f -> f i
-        | None -> (* unreachable: checked above *) ())
-    | Coordinator_set { down } -> (
-        match coordinator_port with
-        | Some p -> node_shift p ~down
         | None -> (* unreachable: checked above *) ())
     | Frame_on { node; kind = Corrupt; rate } ->
         corrupt.(node) <- Float.min 1. (corrupt.(node) +. rate);
@@ -275,8 +263,6 @@ module Udp = struct
     | Restart i -> Runtime.restart_node runtime i
     | Kill i -> Runtime.kill_node runtime i
     | Join i -> Runtime.join_node runtime i
-    | Coordinator_set _ ->
-        invalid_arg "Injector.Udp.apply: the UDP runtime has no membership coordinator"
     | Frame_on { node; kind; rate } ->
         let r = rates t kind in
         r.(node) <- Float.min 1. (r.(node) +. rate)

@@ -23,7 +23,6 @@ type action =
   | Restart of int
   | Kill of int  (** permanent crash — no matching [Restart] ever comes *)
   | Join of int  (** wake a pending joiner (decentralized membership) *)
-  | Coordinator_set of { down : bool }
   | Frame_on of { node : int; kind : Scenario.frame_kind; rate : float }
   | Frame_off of { node : int; kind : Scenario.frame_kind; rate : float }
 
@@ -41,7 +40,6 @@ val windows : Scenario.t -> (float * float) list
 
 val install_sim :
   'msg Apor_sim.Engine.t ->
-  ?coordinator_port:int ->
   ?on_join:(int -> unit) ->
   Scenario.t ->
   unit
@@ -53,9 +51,8 @@ val install_sim :
     [on_join] (the runner passes [Cluster.join_node]).  [Frame_fault
     Corrupt] becomes equivalent loss on the node's links;
     [Duplicate]/[Reorder] have no simulator analogue and are ignored.
-    @raise Invalid_argument if the scenario contains a coordinator outage
-    and [coordinator_port] is [None], or node-join events and [on_join]
-    is. *)
+    @raise Invalid_argument if the scenario contains node-join events
+    and [on_join] is [None]. *)
 
 (** {1 Real UDP} *)
 
@@ -73,8 +70,7 @@ module Udp : sig
   val apply : t -> Apor_deploy.Udp_runtime.t -> action -> unit
   (** Apply one timeline action now.  [Crash]/[Restart]/[Kill]/[Join]
       call the runtime's kill/restart/join; everything else mutates
-      interpreter state read by the fate hook.  @raise Invalid_argument
-      on [Coordinator_set] — the UDP runtime has no coordinator. *)
+      interpreter state read by the fate hook. *)
 
   val link_blocked : t -> int -> int -> bool
   (** Is the (undirected) link currently forced down by a flap or region

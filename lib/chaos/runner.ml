@@ -197,7 +197,6 @@ let run_sim ?params ?(progress = fun _ -> ()) (scn : Scenario.t) =
       let membership =
         if Scenario.uses_membership scn then
           Cluster.Dynamic { initial = scn.members; rtt_ms = 40. }
-        else if Scenario.uses_coordinator scn then Cluster.Coordinator { rtt_ms = 40. }
         else Cluster.Static
       in
       let cluster =
@@ -205,7 +204,6 @@ let run_sim ?params ?(progress = fun _ -> ()) (scn : Scenario.t) =
           ~loss:topo.Apor_topology.Internet.loss ~membership ~trace ~seed:scn.seed ()
       in
       Injector.install_sim (Cluster.engine cluster)
-        ?coordinator_port:(Cluster.coordinator_port cluster)
         ~on_join:(Cluster.join_node cluster) scn;
       Cluster.start cluster;
       let metrics =
@@ -304,21 +302,8 @@ let run_sim ?params ?(progress = fun _ -> ()) (scn : Scenario.t) =
 
 (* --- real UDP ----------------------------------------------------------- *)
 
-(* The deploy-local compressed timescales (see bin/apor.ml): the same
-   parameter ratios as the paper, 30x faster. *)
-let deploy_config =
-  {
-    Apor_overlay_core.Config.quorum_default with
-    Apor_overlay_core.Config.probe_interval_s = 1.0;
-    probes_for_failure = 3;
-    probe_timeout_s = 0.2;
-    rapid_probe_interval_s = 0.25;
-    routing_interval_s = 0.5;
-    membership_refresh_s = 60.;
-  }
-
 let default_time_scale =
-  deploy_config.Apor_overlay_core.Config.routing_interval_s
+  Apor_overlay_core.Config.deploy_local.Apor_overlay_core.Config.routing_interval_s
   /. Apor_overlay_core.Config.quorum_default.Apor_overlay_core.Config.routing_interval_s
 
 let run_udp ?(base_port = 9300) ?(time_scale = default_time_scale)
@@ -327,10 +312,8 @@ let run_udp ?(base_port = 9300) ?(time_scale = default_time_scale)
   let module Node_core = Apor_overlay_core.Node_core in
   match Scenario.validate scn with
   | Error _ as e -> e
-  | Ok () when Scenario.uses_coordinator scn ->
-      Error "coordinator outages need the simulator: the UDP runtime has no coordinator"
   | Ok () -> (
-      let config = deploy_config in
+      let config = Apor_overlay_core.Config.deploy_local in
       let membership =
         if Scenario.uses_membership scn then `Dynamic scn.Scenario.members else `Static
       in

@@ -10,11 +10,6 @@
     the ring long before a scenario ends, while subscribers see every
     event. *)
 
-val deploy_config : Apor_overlay_core.Config.t
-(** The compressed deploy-local timescales the UDP runner uses (paper
-    ratios, 30x faster) — exposed so tests drive [Udp_runtime] with the
-    same configuration. *)
-
 type outcome = {
   score : Score.t;
   violations : Apor_trace.Oracle.violation list;  (** all, chronological *)
@@ -27,9 +22,9 @@ val run_sim :
   Scenario.t ->
   (outcome, string) result
 (** Replay on the simulator: synthetic Internet from the scenario's
-    [(seed, n)], paper-default quorum configuration, membership
-    coordinator only when the scenario needs one, decentralized
-    [Dynamic] membership when it declares members/kill/join events.
+    [(seed, n)], paper-default quorum configuration, [Dynamic]
+    membership when it declares members/kill/join events and [Static]
+    otherwise.
     Fully deterministic — same scenario, same bytes out of
     {!Score.to_json}. *)
 
@@ -46,6 +41,6 @@ val run_udp :
     Node crashes close real sockets and restarts boot fresh cores that
     rejoin; membership scenarios run the runtime's [`Dynamic] mode, so
     kills are real socket closures and joins real quorum admissions.
-    Errors: coordinator outages (the UDP runtime has no coordinator) and
-    socket-less environments ([Error] with the errno text — callers
-    treat it as a skip, matching [apor deploy-local]). *)
+    Errors: invalid scenarios and socket-less environments ([Error] with
+    the errno text — callers treat it as a skip, matching
+    [apor deploy-local]). *)

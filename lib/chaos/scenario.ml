@@ -10,7 +10,6 @@ type fault =
   | Node_crash of { node : int; down_s : float }
   | Node_kill of { node : int }
   | Node_join of { node : int }
-  | Coordinator_outage of { duration_s : float }
   | Frame_fault of { node : int; kind : frame_kind; rate : float; duration_s : float }
 
 type event = { at : float; fault : fault }
@@ -61,7 +60,6 @@ let duration_of = function
   | Loss_burst { duration_s; _ }
   | Latency_spike { duration_s; _ }
   | Region_outage { duration_s; _ }
-  | Coordinator_outage { duration_s }
   | Frame_fault { duration_s; _ } ->
       duration_s
   | Node_crash { down_s; _ } -> down_s
@@ -70,9 +68,6 @@ let duration_of = function
 let clears_at ev = ev.at +. duration_of ev.fault
 
 let last_clear t = List.fold_left (fun acc ev -> Float.max acc (clears_at ev)) 0. t.events
-
-let uses_coordinator t =
-  List.exists (fun ev -> match ev.fault with Coordinator_outage _ -> true | _ -> false) t.events
 
 let uses_membership t =
   t.members < t.n
@@ -109,7 +104,6 @@ let scale t factor =
     | Region_outage r -> Region_outage { r with duration_s = r.duration_s *. factor }
     | Node_crash r -> Node_crash { r with down_s = r.down_s *. factor }
     | (Node_kill _ | Node_join _) as f -> f
-    | Coordinator_outage r -> Coordinator_outage { duration_s = r.duration_s *. factor }
     | Frame_fault r -> Frame_fault { r with duration_s = r.duration_s *. factor }
   in
   {
@@ -172,7 +166,6 @@ let validate t =
           err "node-join: node %d is not a pending joiner (members %d, n %d)" node
             t.members t.n
         else Ok ()
-    | Coordinator_outage { duration_s } -> check_pos "coordinator-outage" duration_s
     | Frame_fault { node; kind = _; rate; duration_s } ->
         let* () = check_node "frame fault" node in
         let* () = check_unit "frame fault" rate in
@@ -224,10 +217,6 @@ let validate t =
   else if t.horizon_s <= t.warmup_s then
     err "horizon %g must exceed warmup %g" t.horizon_s t.warmup_s
   else if t.grace_s < 0. then err "negative grace %g" t.grace_s
-  else if uses_coordinator t && uses_membership t then
-    err
-      "coordinator-outage cannot be combined with decentralized membership \
-       (members/node-kill/node-join)"
   else
     let* () = check_events t.events in
     let* () = check_membership () in
@@ -256,8 +245,6 @@ let pp_fault ppf = function
   | Node_crash { node; down_s } -> Format.fprintf ppf "node-crash %d down %gs" node down_s
   | Node_kill { node } -> Format.fprintf ppf "node-kill %d (permanent)" node
   | Node_join { node } -> Format.fprintf ppf "node-join %d" node
-  | Coordinator_outage { duration_s } ->
-      Format.fprintf ppf "coordinator-outage for %gs" duration_s
   | Frame_fault { node; kind; rate; duration_s } ->
       Format.fprintf ppf "frame-%s node %d p=%g for %gs" (kind_name kind) node rate duration_s
 
@@ -345,8 +332,6 @@ let parse_fault rng n = function
      joiner (kill) or a live member (join) and fail validation by luck *)
   | List [ Atom "node-kill"; i ] -> Node_kill { node = intv "node id" i }
   | List [ Atom "node-join"; i ] -> Node_join { node = intv "node id" i }
-  | List [ Atom "coordinator-outage"; d ] ->
-      Coordinator_outage { duration_s = floatv "duration" d }
   | List [ Atom ("frame-corrupt" | "frame-duplicate" | "frame-reorder" as which); i; p; d ]
     ->
       let kind =

@@ -37,8 +37,6 @@ type fault =
   | Node_join of { node : int }
       (** a pending joiner (port in [\[members, n)]) boots and is admitted
           by the decentralized quorum-write protocol *)
-  | Coordinator_outage of { duration_s : float }
-      (** the membership coordinator drops off the network (sim only) *)
   | Frame_fault of { node : int; kind : frame_kind; rate : float; duration_s : float }
       (** each outbound frame of [node] suffers [kind] with probability
           [rate]; UDP-runtime faults ([Corrupt] maps to loss on the
@@ -82,8 +80,7 @@ val validate : t -> (unit, string) result
     durations, faults inside [warmup, horizon), and enough room after the
     last fault clears for recovery ([grace_s]).  Membership scenarios
     additionally: [members] within [2, n], every [node-kill] hits a node
-    live at that instant, every [node-join] a still-pending one, and no
-    [coordinator-outage] (the two membership models are exclusive). *)
+    live at that instant and every [node-join] a still-pending one. *)
 
 (** {1 Combinators} *)
 
@@ -112,8 +109,6 @@ val clears_at : event -> float
 
 val last_clear : t -> float
 (** 0 when there are no events. *)
-
-val uses_coordinator : t -> bool
 
 val uses_membership : t -> bool
 (** Does the scenario exercise decentralized membership — a pending

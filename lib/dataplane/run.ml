@@ -102,24 +102,10 @@ let run_sim ?(n = 144) ?(seed = 1) ?(duration_s = 300.) ?(warmup_s = 120.)
 
 (* --- real UDP ------------------------------------------------------------ *)
 
-(* The deploy-local compressed timescales (see bin/apor.ml): same
-   parameter ratios as the paper, 30x faster, so a few wall seconds of
-   warmup produce real recommendations to route on. *)
-let deploy_config =
-  {
-    Config.quorum_default with
-    Config.probe_interval_s = 1.0;
-    probes_for_failure = 3;
-    probe_timeout_s = 0.2;
-    rapid_probe_interval_s = 0.25;
-    routing_interval_s = 0.5;
-    membership_refresh_s = 60.;
-  }
-
 let run_udp ?(n = 8) ?(seed = 1) ?(duration_s = 6.) ?(warmup_s = 3.) ?(base_port = 9400)
     ?(spec = Workload.default) () =
   let module Udp = Apor_deploy.Udp_runtime in
-  let config = deploy_config in
+  let config = Config.deploy_local in
   let trace = Collector.create ~capacity:(1 lsl 18) () in
   let oracle = make_oracle config in
   Oracle.attach oracle trace;

@@ -1,7 +1,7 @@
 open Apor_util
 open Apor_sim
 module Cluster = Apor_overlay.Cluster
-module Message = Apor_overlay.Message
+module Message = Apor_overlay_core.Message
 module Ev = Apor_trace.Event
 
 (* A closed-loop flow's outstanding datagram is abandoned after this many

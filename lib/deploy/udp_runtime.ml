@@ -401,11 +401,7 @@ let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed (
   | `Static -> ()
   | `Dynamic initial ->
       if initial < 2 || initial > n then
-        invalid_arg "Udp_runtime.create: Dynamic initial outside [2, n]";
-      if config.Core.Config.centralized_membership then
-        invalid_arg
-          "Udp_runtime.create: centralized membership needs a coordinator \
-           endpoint, which the UDP runtime does not host");
+        invalid_arg "Udp_runtime.create: Dynamic initial outside [2, n]");
   let clock = Clock.create () in
   (match trace with
   | Some tr -> Apor_trace.Collector.set_clock tr (fun () -> Clock.now clock)

@@ -37,7 +37,7 @@ val recommendation_message_bytes : entries:int -> int
 (** Round-two recommendations: [header_bytes + 4 * entries]. *)
 
 val membership_view_bytes : n:int -> int
-(** Coordinator view push: version (4) plus a 2-byte id per member. *)
+(** A [Message.View]: version (4) plus a 2-byte id per member. *)
 
 val membership_request_bytes : int
 (** Join/leave/refresh requests: header only. *)

@@ -60,6 +60,7 @@ type t = {
   mutable pending_leaves : int list;  (* sorted *)
   mutable proposal : proposal option;
   mutable attempts : int;
+  mutable joining : bool;  (* soliciting admission: Join_retry keeps firing *)
   mutable gossip_armed : bool;
   mutable started : bool;
   mutable left : bool;
@@ -102,6 +103,7 @@ let create ~params ~port ~role ?(trace = false) () =
     pending_leaves = [];
     proposal = None;
     attempts = 0;
+    joining = genesis = None;
     gossip_armed = false;
     started = false;
     left = false;
@@ -134,9 +136,12 @@ let install buf t v =
     push buf
       (Trace
          (Ev.View_adopted { node = t.port; epoch = View.version v; size = View.size v }));
-  if View.contains_port v t.port && not t.gossip_armed then begin
-    t.gossip_armed <- true;
-    push buf (Set_timer { timer = Gossip; delay = t.params.gossip_interval_s })
+  if View.contains_port v t.port then begin
+    t.joining <- false;
+    if not t.gossip_armed then begin
+      t.gossip_armed <- true;
+      push buf (Set_timer { timer = Gossip; delay = t.params.gossip_interval_s })
+    end
   end
 
 let announce epoch members dst = Send { dst_port = dst; msg = Wire.View_announce { epoch; members } }
@@ -300,6 +305,9 @@ let handle_deliver buf t src msg =
   | Wire.Join_ack { epoch = e'; members } ->
       if members <> [] && e' > epoch t then
         adopt ~ack:false buf t ~src (View.create ~version:e' ~members)
+      else if e' = epoch t && List.mem t.port members then
+        (* a rejoiner whose leave never committed is still a member *)
+        t.joining <- false
   | Wire.View_delta { base_epoch; epoch = e'; joined; left } -> (
       match t.view with
       | Some v when View.version v = base_epoch && e' > View.version v ->
@@ -362,8 +370,9 @@ let handle_tick buf t = function
         | _ -> ());
         push buf (Set_timer { timer = Gossip; delay = t.params.gossip_interval_s })
       end
+      else t.gossip_armed <- false
   | Join_retry ->
-      if (not (is_member t)) && (not t.left) && t.started then begin
+      if t.joining && (not t.left) && t.started then begin
         send_join_req buf t;
         push buf (Set_timer { timer = Join_retry; delay = t.params.join_retry_s })
       end
@@ -394,6 +403,28 @@ let handle_tick buf t = function
           end
       | _ -> ())
 
+(* A [Start] after a graceful [Leave]: re-enter as a joiner, soliciting
+   the other members of the last view.  That view is kept, so adopted
+   epochs stay strictly monotone: admission is a strictly newer view that
+   contains this node. *)
+let rejoin buf t =
+  t.left <- false;
+  t.joining <- true;
+  t.proposal <- None;
+  t.attempts <- 0;
+  t.pending_joins <- [];
+  t.pending_leaves <- [];
+  (match t.view with
+  | Some v -> (
+      match List.filter (fun p -> p <> t.port) (Array.to_list (View.members v)) with
+      | [] -> ()
+      | cs ->
+          t.contacts <- cs;
+          t.contact_idx <- 0)
+  | None -> ());
+  send_join_req buf t;
+  push buf (Set_timer { timer = Join_retry; delay = t.params.join_retry_s })
+
 let handle t ~now input =
   let buf = { now; out_rev = [] } in
   (match input with
@@ -406,6 +437,7 @@ let handle t ~now input =
             send_join_req buf t;
             push buf (Set_timer { timer = Join_retry; delay = t.params.join_retry_s })
       end
+      else if t.left then rejoin buf t
   | Deliver { src_port; msg } ->
       if t.started && not t.left then handle_deliver buf t src_port msg
   | Tick timer -> if t.started then handle_tick buf t timer

@@ -52,11 +52,18 @@ type timer = Gossip | Join_retry | Propose_check of { epoch : int }
 
 type input =
   | Start
+      (** Genesis members install their view, joiners solicit admission.
+          After a [Leave], a second [Start] rejoins: the node re-enters
+          as a joiner whose contacts are the other members of its last
+          view. *)
   | Deliver of { src_port : int; msg : Wire.t }
   | Tick of timer
   | Peer_report of { port : int; up : bool }
       (** monitor verdicts feed lazy crash eviction *)
   | Leave
+      (** graceful departure: ask one other member to commit a view
+          without this node; until the next [Start] it neither gossips nor
+          answers messages *)
 
 type output =
   | Send of { dst_port : int; msg : Wire.t }

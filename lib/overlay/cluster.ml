@@ -1,10 +1,8 @@
 open Apor_util
 open Apor_sim
+open Apor_overlay_core
 
-type membership =
-  | Static
-  | Coordinator of { rtt_ms : float }
-  | Dynamic of { initial : int; rtt_ms : float }
+type membership = Static | Dynamic of { initial : int; rtt_ms : float }
 
 type t = {
   config : Config.t;
@@ -12,46 +10,24 @@ type t = {
   initial : int; (* nodes live at start; the rest join via [join_node] *)
   engine : Message.t Engine.t;
   nodes : Node.t array;
-  coordinator : Coordinator.t option;
-  coordinator_port : int option;
   static_view : bool;
   mutable next_data_id : int;
   deliveries : (int, float) Hashtbl.t; (* data packet id -> delivery time *)
   dgram_sink : (now:float -> node:int -> Message.t -> unit) option ref;
 }
 
-let pad_matrix m extra ~fill =
-  let n = Array.length m in
-  Array.init (n + extra) (fun i ->
-      Array.init (n + extra) (fun j ->
-          if i = j then 0.
-          else if i < n && j < n then m.(i).(j)
-          else fill))
-
 let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed () =
   let n = Array.length rtt_ms in
   if n < 2 then invalid_arg "Cluster.create: need at least two nodes";
-  (* A [Dynamic] overlay normally runs the decentralized quorum protocol;
-     [config.centralized_membership] swaps in the old coordinator as the
-     comparison baseline, with the same initial-members/joiners split. *)
-  let with_coordinator, coordinator_rtt =
-    match membership with
-    | Static -> (false, 0.)
-    | Coordinator { rtt_ms } -> (true, rtt_ms)
-    | Dynamic { rtt_ms; _ } -> (config.Config.centralized_membership, rtt_ms)
-  in
   let initial =
     match membership with
-    | Static | Coordinator _ -> n
+    | Static -> n
     | Dynamic { initial; _ } ->
         if initial < 2 || initial > n then
           invalid_arg "Cluster.create: Dynamic initial outside [2, n]";
         initial
   in
-  let extra = if with_coordinator then 1 else 0 in
-  let rtt_full = pad_matrix rtt_ms extra ~fill:coordinator_rtt in
-  let loss_full = Option.map (fun l -> pad_matrix l extra ~fill:0.) loss in
-  let network = Network.create ~rtt_ms:rtt_full ?loss:loss_full ~seed () in
+  let network = Network.create ~rtt_ms ?loss ~seed () in
   let engine = Engine.create ?scheduler ~network () in
   (* Point the collector at the virtual clock and mirror every packet's
      fate into the trace before wiring anything that can send. *)
@@ -79,18 +55,12 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
     Option.map (fun tr ev -> Apor_trace.Collector.emit tr ev) trace
   in
   let root = Rng.make ~seed in
-  let coordinator_port = if with_coordinator then Some n else None in
-  let send_from src_port ~dst_port msg =
-    Engine.send engine ~cls:(Message.cls msg) ~src:src_port ~dst:dst_port
-      ~bytes:(Message.size_bytes msg) msg
-  in
   let deliveries = Hashtbl.create 256 in
   (* Install the dispatch handler before anything can schedule or send —
      a node's very first output may be a message due at t = 0, and the
      engine raises on a delivery with no handler installed.  The tables it
      reads are populated below, before [create] returns. *)
   let runtimes : Runtime.t option array = Array.make n None in
-  let coordinator_cell = ref None in
   let dgram_sink = ref None in
   Engine.set_handler engine (fun ~dst ~src msg ->
       match (msg, !dgram_sink) with
@@ -98,18 +68,10 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
           (* User datagrams short-circuit to the data-plane forwarder;
              they never enter the protocol state machines. *)
           sink ~now:(Engine.now engine) ~node:dst msg
-      | _ ->
-      if dst < n then begin
-        match runtimes.(dst) with
-        | Some rt -> Runtime.dispatch rt (Node_core.Deliver { src_port = src; msg })
-        | None -> ()
-      end
-      else begin
-        match !coordinator_cell with
-        | Some c ->
-            Coordinator.handle_message c ~now:(Engine.now engine) ~src_port:src msg
-        | None -> ()
-      end);
+      | _ -> (
+          match runtimes.(dst) with
+          | Some rt -> Runtime.dispatch rt (Node_core.Deliver { src_port = src; msg })
+          | None -> ()));
   (* Decentralized dynamic membership: the first [initial] nodes are the
      genesis members, everyone else is a joiner whose contact list is the
      genesis set rotated by its own port — deterministic, and it spreads
@@ -117,8 +79,7 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let genesis_members = List.init initial Fun.id in
   let role_for port =
     match membership with
-    | Static | Coordinator _ -> None
-    | Dynamic _ when config.Config.centralized_membership -> None
+    | Static -> None
     | Dynamic _ ->
         let module M = Apor_membership.Membership_core in
         if port < initial then Some (M.Member (M.genesis_view ~members:genesis_members))
@@ -130,8 +91,7 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let nodes =
     Array.init n (fun port ->
         let core =
-          Node_core.create ~config ~port ~capacity:(n + extra) ?coordinator_port
-            ?membership:(role_for port)
+          Node_core.create ~config ~port ~capacity:n ?membership:(role_for port)
             ~trace:(Option.is_some node_trace)
             ~rng:(Rng.split root (Printf.sprintf "node.%d" port))
             ()
@@ -146,32 +106,12 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
         runtimes.(port) <- Some rt;
         Node.of_runtime ~now:(fun () -> Engine.now engine) rt)
   in
-  let coordinator =
-    if with_coordinator then begin
-      let sweep_cell = ref (fun () -> ()) in
-      let c =
-        Coordinator.create ~self_port:n
-          ~member_timeout_s:config.Config.membership_refresh_s
-          {
-            Coordinator.send = (fun ~dst_port msg -> send_from n ~dst_port msg);
-            set_sweep_timer =
-              (fun ~delay -> Engine.schedule engine ~delay (fun () -> !sweep_cell ()));
-          }
-      in
-      (sweep_cell := fun () -> Coordinator.on_sweep_timer c ~now:(Engine.now engine));
-      coordinator_cell := Some c;
-      Some c
-    end
-    else None
-  in
   {
     config;
     n;
     initial;
     engine;
     nodes;
-    coordinator;
-    coordinator_port;
     static_view = (membership = Static);
     next_data_id = 0;
     deliveries;
@@ -188,10 +128,7 @@ let node t port =
   if port < 0 || port >= t.n then invalid_arg "Cluster.node: port out of range";
   t.nodes.(port)
 
-let coordinator_port t = t.coordinator_port
-
 let start t =
-  (match t.coordinator with Some c -> Coordinator.start_expiry c | None -> ());
   for port = 0 to t.initial - 1 do
     Node.start t.nodes.(port)
   done;

@@ -1,27 +1,23 @@
 (** A whole overlay on a simulated network: the in-system emulation of
     Section 6.
 
-    Builds the network, engine, nodes and (optionally) the membership
-    coordinator, wires message dispatch, and exposes the queries the
-    benches sample.  With [`Static] membership every node receives the
-    full member view at time zero and no coordinator exists — the
+    Builds the network, engine and nodes, wires message dispatch, and
+    exposes the queries the benches sample.  With [Static] membership
+    every node receives the full member view at time zero — the
     steady-state configuration all the paper's measurements run in.  With
-    [`Coordinator] an extra node (port [n]) runs the membership service
-    and nodes execute the join protocol. *)
+    [Dynamic] membership nodes run the quorum-replicated protocol
+    ([lib/membership]). *)
 
 open Apor_sim
+open Apor_overlay_core
 
 type membership =
   | Static
-  | Coordinator of { rtt_ms : float }
   | Dynamic of { initial : int; rtt_ms : float }
       (** The first [initial] ports are genesis members live at {!start};
           the remaining [n - initial] are pending joiners admitted on
-          {!join_node}.  Runs the decentralized quorum-replicated protocol
-          ([lib/membership]) — no coordinator exists — unless
-          [config.centralized_membership] is set, in which case the old
-          coordinator (an extra endpoint at port [n], links at [rtt_ms])
-          serves the same split as a comparison baseline. *)
+          {!join_node}.  [rtt_ms] is unused: it sized the links of the
+          retired membership coordinator. *)
 
 type t
 
@@ -35,19 +31,17 @@ val create :
   seed:int ->
   unit ->
   t
-(** [rtt_ms]/[loss] cover the [n] overlay nodes; with a coordinator the
-    network gains one extra endpoint whose links have the given RTT and no
-    loss.  A [trace] collector is pointed at the engine's virtual clock and
-    receives every engine event (send/deliver/drop) plus every node's
-    protocol events; attach sinks, subscribers or an
-    {!Apor_trace.Oracle} to it before calling {!start}.  [scheduler]
-    selects the engine's queue backend (default [Calendar]); both backends
-    produce identical event orders, so this only matters for determinism
-    regressions and perf comparisons.
+(** [rtt_ms]/[loss] cover the [n] overlay nodes.  A [trace] collector is
+    pointed at the engine's virtual clock and receives every engine event
+    (send/deliver/drop) plus every node's protocol events; attach sinks,
+    subscribers or an {!Apor_trace.Oracle} to it before calling {!start}.
+    [scheduler] selects the engine's queue backend (default [Calendar]);
+    both backends produce identical event orders, so this only matters for
+    determinism regressions and perf comparisons.
     @raise Invalid_argument on malformed matrices. *)
 
 val n : t -> int
-(** Number of overlay nodes (excluding any coordinator). *)
+(** Number of overlay nodes. *)
 
 val engine : t -> Message.t Engine.t
 
@@ -61,16 +55,13 @@ val traffic : t -> Traffic.t
 val node : t -> int -> Node.t
 (** @raise Invalid_argument for an out-of-range port. *)
 
-val coordinator_port : t -> int option
-
 val start : t -> unit
-(** Start every initially-live node (and the coordinator's lease sweep).
-    With [Dynamic] membership, pending joiners stay dormant until
-    {!join_node}. *)
+(** Start every initially-live node.  With [Dynamic] membership, pending
+    joiners stay dormant until {!join_node}. *)
 
 val join_node : t -> int -> unit
-(** Wake a pending joiner: it runs the join protocol (quorum or
-    coordinator, per the membership mode) until admitted.  Idempotent.
+(** Wake a pending joiner: it runs the quorum join protocol until
+    admitted.  Idempotent.
     @raise Invalid_argument unless [Dynamic] was given and [port] is in
     [\[initial, n)]. *)
 

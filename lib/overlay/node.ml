@@ -1,3 +1,5 @@
+open Apor_overlay_core
+
 type callbacks = {
   now : unit -> float;
   send : dst_port:int -> Message.t -> unit;
@@ -10,10 +12,9 @@ type t = { rt : Runtime.t; now : unit -> float }
 
 let of_runtime ~now rt = { rt; now }
 
-let create ~config ~port ~capacity ?coordinator_port ?trace ~rng (cb : callbacks) =
+let create ~config ~port ~capacity ?trace ~rng (cb : callbacks) =
   let core =
-    Node_core.create ~config ~port ~capacity ?coordinator_port
-      ~trace:(Option.is_some trace) ~rng ()
+    Node_core.create ~config ~port ~capacity ~trace:(Option.is_some trace) ~rng ()
   in
   let rt =
     Runtime.create ~core ~now:cb.now

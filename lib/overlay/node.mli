@@ -8,6 +8,8 @@
     wraps it via {!of_runtime}.  Port numbers are the node's addresses;
     rank-space bookkeeping is internal to the router. *)
 
+open Apor_overlay_core
+
 type callbacks = {
   now : unit -> float;
   send : dst_port:int -> Message.t -> unit;
@@ -22,16 +24,14 @@ val create :
   config:Config.t ->
   port:int ->
   capacity:int ->
-  ?coordinator_port:int ->
   ?trace:(Apor_trace.Event.t -> unit) ->
   rng:Apor_util.Rng.t ->
   callbacks ->
   t
 (** [capacity] is the largest port + 1 ever addressable (sizes the monitor).
-    With a [coordinator_port], [start] runs the join protocol; without one
-    the node waits for {!install_view}.  [trace] receives this node's
-    protocol-level events (quorum algorithm only — the full-mesh router
-    has no rendezvous protocol to trace). *)
+    The node has static membership: it waits for {!install_view}.  [trace]
+    receives this node's protocol-level events (quorum algorithm only — the
+    full-mesh router has no rendezvous protocol to trace). *)
 
 val of_runtime : now:(unit -> float) -> Runtime.t -> t
 (** Wrap an already-wired runtime (e.g. from {!Sim_runtime.create});
@@ -44,14 +44,14 @@ val runtime : t -> Runtime.t
 val port : t -> int
 
 val start : t -> unit
-(** Start probing/routing loops and (if configured) join the overlay. *)
+(** Start probing/routing loops and (with quorum membership) join the
+    overlay; after {!leave}, rejoin it. *)
 
 val leave : t -> unit
-(** Announce departure to the coordinator (no-op in static mode). *)
+(** Leave the overlay gracefully (no-op in static mode). *)
 
 val install_view : t -> View.t -> unit
-(** Static-membership entry point: install a view directly, as if the
-    coordinator had pushed it. *)
+(** Static-membership entry point: install a view directly. *)
 
 val handle_message : t -> src_port:int -> Message.t -> unit
 

@@ -1,6 +1,7 @@
 open Apor_linkstate
 
 type algorithm = Full_mesh | Quorum
+type dissemination = Full | Delta
 
 type t = {
   algorithm : algorithm;
@@ -14,10 +15,8 @@ type t = {
   ewma_alpha : float;
   metric : Metric.t;
   membership_refresh_s : float;
-  centralized_membership : bool;
   relay_link_state : bool;
-  delta_link_state : bool;
-  incremental_rendezvous : bool;
+  dissemination : dissemination;
 }
 
 let base =
@@ -33,16 +32,25 @@ let base =
     ewma_alpha = 0.5;
     metric = Metric.Latency;
     membership_refresh_s = 1800.;
-    centralized_membership = false;
     relay_link_state = false;
-    delta_link_state = true;
-    incremental_rendezvous = true;
+    dissemination = Delta;
   }
 
 let quorum_default = base
 let ron_default = { base with algorithm = Full_mesh; routing_interval_s = 30. }
 
-let full_table t = { t with delta_link_state = false; incremental_rendezvous = false }
+let deploy_local =
+  {
+    base with
+    probe_interval_s = 1.0;
+    probes_for_failure = 3;
+    probe_timeout_s = 0.2;
+    rapid_probe_interval_s = 0.25;
+    routing_interval_s = 0.5;
+    membership_refresh_s = 60.;
+  }
+
+let full_table t = { t with dissemination = Full }
 
 let with_routing_interval t r = { t with routing_interval_s = r }
 

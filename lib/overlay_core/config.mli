@@ -17,6 +17,22 @@ open Apor_linkstate
 
 type algorithm = Full_mesh | Quorum
 
+(** How link state travels and how rendezvous servers recompute. *)
+type dissemination =
+  | Full
+      (** The paper's baseline: every announcement carries the full
+          [3n]-byte snapshot, and every round rescans all [n] candidates
+          per pair. *)
+  | Delta
+      (** After a node's first announcement to a given rendezvous server,
+          push only the entries that changed since the previous epoch
+          ({!Apor_linkstate.Wire.Delta}) whenever that is smaller than the
+          full snapshot, falling back to the full form on receiver-detected
+          gaps; servers keep a per-pair best-hop cache
+          ({!Apor_core.Best_hop.Cache}) repaired in O(changed entries) per
+          ingested announcement.  Bit-identical recommendations; the
+          default. *)
+
 type t = {
   algorithm : algorithm;
   probe_interval_s : float;
@@ -37,30 +53,15 @@ type t = {
           as suffering a rendezvous failure and triggers failover. *)
   ewma_alpha : float;  (** weight of history in the latency EWMA *)
   metric : Metric.t;
-  membership_refresh_s : float;  (** re-registration period at the MS *)
-  centralized_membership : bool;
-      (** Run membership through the legacy coordinator instead of the
-          quorum-replicated protocol ([lib/membership]) — the comparison
-          baseline.  Only consulted by runtimes wiring {e dynamic}
-          membership; static-view deployments ignore it.  Off by
-          default: the overlay has no single point of failure. *)
+  membership_refresh_s : float;
+      (** Membership lease: a member its peers' monitors report silent
+          this long is evicted from the view. *)
   relay_link_state : bool;
       (** Footnote 8 of the paper: when the direct link to a rendezvous
           server or client has failed, route the announcement or
           recommendation through a temporary one-hop intermediary instead
           of losing it.  Off by default, as in the deployed prototype. *)
-  delta_link_state : bool;
-      (** After a node's first announcement to a given rendezvous server,
-          push only the entries that changed since the previous epoch
-          ({!Apor_linkstate.Wire.Delta}) whenever that is smaller than the
-          full [3n]-byte snapshot, falling back to the full form on
-          receiver-detected gaps.  On by default. *)
-  incremental_rendezvous : bool;
-      (** Rendezvous servers keep a per-pair best-hop cache
-          ({!Apor_core.Best_hop.Cache}) and repair it in O(changed entries)
-          per ingested announcement instead of rescanning all [n]
-          candidates per pair each round.  Bit-identical recommendations;
-          on by default. *)
+  dissemination : dissemination;
 }
 
 val ron_default : t
@@ -69,11 +70,16 @@ val ron_default : t
 val quorum_default : t
 (** The paper's router, 15 s routing interval. *)
 
+val deploy_local : t
+(** The quorum router at compressed deploy timescales for real loopback
+    UDP runs: the paper's parameter ratios (timeout vs rapid cadence,
+    staleness windows, failure factors), 30x faster, so a few wall
+    seconds span many probing and routing cycles. *)
+
 val full_table : t -> t
-(** Baseline ablation: disable both delta announcements and the
-    incremental best-hop cache (every round sends full snapshots and
-    rescans every pair) — the configuration the seed repo shipped with,
-    kept as the reference point for the PERFORMANCE.md comparisons. *)
+(** Baseline ablation: [Full] dissemination — the configuration the seed
+    repo shipped with, kept as the reference point for the PERFORMANCE.md
+    comparisons. *)
 
 val with_routing_interval : t -> float -> t
 (** Ablation helper: change the routing interval, keeping the staleness

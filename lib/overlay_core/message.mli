@@ -27,11 +27,12 @@ type t =
   | Recommend of { view : int; entries : (Nodeid.t * Nodeid.t) list }
       (** Round two: [(destination, best hop)] pairs. *)
   | Join of { port : int }
-      (** Membership: registration/refresh at the coordinator.  [port]
-          is the joiner's overlay address (its network index). *)
   | Leave of { port : int }
   | View of { version : int; members : Nodeid.t list }
-      (** Coordinator broadcast: the full member list, sorted. *)
+      (** [Join], [Leave] and [View] are the retired centralized
+          membership service's messages.  They keep their tags and
+          codec, so the decoder stays total and old captures replay, but
+          no node sends them and {!Node_core} drops them on receipt. *)
   | Data of { id : int; origin : Nodeid.t; dst : Nodeid.t; ttl : int }
       (** An application packet riding the overlay: forwarded along best
           hops until it reaches [dst] or [ttl] runs out. *)
@@ -56,9 +57,7 @@ type t =
           machine; the core only models its byte cost. *)
   | Member of Apor_membership.Wire.t
       (** Decentralized membership ([lib/membership]): join requests and
-          acks, quorum view writes, deltas and epoch digests.  [Join],
-          [Leave] and [View] above remain the centralized-coordinator
-          baseline ([Config.centralized_membership]). *)
+          acks, quorum view writes, deltas and epoch digests. *)
 
 val data_payload_bytes : int
 (** Synthetic application payload size (64 bytes — a VoIP-frame-sized

@@ -33,27 +33,21 @@ type router = Quorum of Router.t | Full_mesh of Router_fullmesh.t
 type buffer = { mutable now : float; mutable out_rev : output list }
 
 type t = {
-  config : Config.t;
   port : int;
-  coordinator_port : int option;
   mem : Membership.t option;
   buf : buffer;
   monitor : Monitor.t;
   router : router;
   mutable view : View.t option;
   mutable started : bool;
-  mutable joined : bool;
 }
 
 let push buf o = buf.out_rev <- o :: buf.out_rev
 
-let create ~config ~port ~capacity ?coordinator_port ?membership ?(trace = false) ~rng ()
-    =
+let create ~config ~port ~capacity ?membership ?(trace = false) ~rng () =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Node_core.create: " ^ msg));
-  if coordinator_port <> None && membership <> None then
-    invalid_arg "Node_core.create: coordinator and quorum membership are exclusive";
   let buf = { now = 0.; out_rev = [] } in
   let mem =
     Option.map
@@ -120,18 +114,7 @@ let create ~config ~port ~capacity ?coordinator_port ?membership ?(trace = false
              { Router_fullmesh.send; set_tick_timer })
   in
   router_ref := Some router;
-  {
-    config;
-    port;
-    coordinator_port;
-    mem;
-    buf;
-    monitor;
-    router;
-    view = None;
-    started = false;
-    joined = false;
-  }
+  { port; mem; buf; monitor; router; view = None; started = false }
 
 let port t = t.port
 
@@ -154,7 +137,7 @@ let install_view t v =
 
 (* Interpret the membership core's effects: wire sends wrap in
    [Message.Member], timers embed as [Member_timer], installed views flow
-   into the router exactly like coordinator broadcasts did. *)
+   into the monitor and the router. *)
 let run_membership t outputs =
   List.iter
     (fun (o : Membership.output) ->
@@ -163,9 +146,7 @@ let run_membership t outputs =
           push t.buf (Send { dst_port; msg = Message.Member msg })
       | Membership.Set_timer { timer; delay } ->
           push t.buf (Set_timer { timer = Member_timer timer; delay })
-      | Membership.Install v ->
-          t.joined <- true;
-          install_view t v
+      | Membership.Install v -> install_view t v
       | Membership.Trace ev -> push t.buf (Trace ev))
     outputs
 
@@ -173,20 +154,6 @@ let membership_input t input =
   match t.mem with
   | None -> ()
   | Some m -> run_membership t (Membership.handle m ~now:t.buf.now input)
-
-let join_step t =
-  match t.coordinator_port with
-  | None -> ()
-  | Some coordinator ->
-      if t.started then begin
-        push t.buf (Send { dst_port = coordinator; msg = Message.Join { port = t.port } });
-        (* Retry quickly until the first view lands, then settle into the
-           lease-refresh cadence. *)
-        let delay =
-          if t.joined then t.config.membership_refresh_s /. 2. else 5.
-        in
-        push t.buf (Set_timer { timer = Join_retry; delay })
-      end
 
 let best_hop t ~now ~dst_port =
   match t.router with
@@ -225,9 +192,6 @@ let rec deliver t ~src_port msg =
       push t.buf (Send { dst_port = src_port; msg = Message.Probe_reply { seq } })
   | Message.Probe_reply { seq } ->
       Monitor.handle_reply t.monitor ~now:t.buf.now ~src:src_port ~seq
-  | Message.View { version; members } ->
-      t.joined <- true;
-      install_view t (View.create ~version ~members)
   | Message.Link_state _ | Message.Link_state_delta _ | Message.Ls_resync _ -> (
       match t.router with
       | Quorum r -> Router.handle_message r ~now:t.buf.now ~src_port msg
@@ -237,7 +201,11 @@ let rec deliver t ~src_port msg =
       | Quorum r -> Router.handle_message r ~now:t.buf.now ~src_port msg
       | Full_mesh r -> Router_fullmesh.handle_message r ~now:t.buf.now ~src_port msg);
       surface_recommendations t ~src_port ~view entries
-  | Message.Join _ | Message.Leave _ -> () (* we are not the coordinator *)
+  | Message.Join _ | Message.Leave _ | Message.View _ ->
+      (* Views change only through the membership core (or [Install_view]
+         on a static overlay): a bare view message from the wire is
+         ignored, whatever its version. *)
+      ()
   | Message.Member w -> membership_input t (Membership.Deliver { src_port; msg = w })
   | Message.Data { id; origin; dst; ttl } ->
       if dst = t.port then push t.buf (Deliver_data { id; origin })
@@ -271,7 +239,6 @@ let apply t input =
         (match t.router with
         | Quorum r -> Router.start r
         | Full_mesh r -> Router_fullmesh.start r);
-        join_step t;
         membership_input t Membership.Start
       end
   | Install_view v -> install_view t v
@@ -284,7 +251,7 @@ let apply t input =
       match t.router with
       | Quorum r -> Router.on_tick_timer r ~now:t.buf.now
       | Full_mesh r -> Router_fullmesh.on_tick_timer r ~now:t.buf.now)
-  | Tick Join_retry -> join_step t
+  | Tick Join_retry -> ()
   | Tick (Member_timer mt) -> membership_input t (Membership.Tick mt)
   | Send_data { dst_port; id } ->
       if dst_port = t.port then push t.buf (Deliver_data { id; origin = t.port })
@@ -300,16 +267,11 @@ let apply t input =
                  })
         | None -> ()
       end
-  | Leave -> (
+  | Leave ->
       if t.mem <> None then begin
         t.started <- false;
         membership_input t Membership.Leave
-      end;
-      match t.coordinator_port with
-      | None -> ()
-      | Some coordinator ->
-          t.started <- false;
-          push t.buf (Send { dst_port = coordinator; msg = Message.Leave { port = t.port } }))
+      end
   | Link_report { peer; up } -> Monitor.force_status t.monitor peer ~up
 
 let handle t ~now input =

@@ -35,21 +35,27 @@ type timer =
   | Probe_timeout of { peer : int; generation : int; seq : int }
       (** Loss detection for one outstanding probe. *)
   | Router_tick  (** The routing interval. *)
-  | Join_retry  (** Membership join retry / lease refresh (coordinator). *)
+  | Join_retry  (** Never armed; ignored if fed. *)
   | Member_timer of Apor_membership.Membership_core.timer
       (** A decentralized-membership timer (gossip, join retry, quorum
           write check), embedded as data like every other timer. *)
 
 type input =
-  | Start  (** Begin probing/routing and (if configured) join. *)
+  | Start
+      (** Begin probing/routing and (with [membership]) join; after a
+          [Leave], rejoin through the quorum protocol. *)
   | Install_view of View.t
-      (** Static-membership entry point: install a view directly, as if
-          the coordinator had pushed it. *)
-  | Deliver of { src_port : int; msg : Message.t }  (** A datagram arrived. *)
+      (** Static-membership entry point: install a view directly. *)
+  | Deliver of { src_port : int; msg : Message.t }
+      (** A datagram arrived.  [Message.Join], [Leave] and [View] are
+          ignored: views change only through the membership core or
+          [Install_view]. *)
   | Tick of timer  (** A previously armed timer fired. *)
   | Send_data of { dst_port : int; id : int }
       (** The application wants a packet carried over the overlay. *)
-  | Leave  (** Announce departure to the coordinator. *)
+  | Leave
+      (** Leave gracefully: ask a peer to commit a view without this node
+          (no-op without [membership]). *)
   | Link_report of { peer : int; up : bool }
       (** A transport-level liveness verdict (e.g. ICMP errors), imposed
           on the monitor. *)
@@ -75,21 +81,18 @@ val create :
   config:Config.t ->
   port:int ->
   capacity:int ->
-  ?coordinator_port:int ->
   ?membership:Apor_membership.Membership_core.role ->
   ?trace:bool ->
   rng:Rng.t ->
   unit ->
   t
-(** [capacity] is the largest port + 1 ever addressable (sizes the
-    monitor).  With a [coordinator_port], [Start] runs the centralized
-    join protocol; with [membership], the decentralized quorum protocol
-    ([lib/membership]) — genesis members install their view at [Start],
-    joiners solicit admission from their contacts (the two options are
-    mutually exclusive).  With neither, the node waits for
-    [Install_view].  [trace] (default false) turns on {!output.Trace}
-    emission; off, the emission sites compile to a field test and
-    allocate nothing. *)
+(** [capacity] is the largest port + 1 ever addressable (sizes the monitor).
+    With [membership], [Start] runs the quorum-replicated membership
+    protocol ([lib/membership]) — genesis members install their view,
+    joiners solicit admission from their contacts.  Without it, the node
+    waits for [Install_view].  [trace] (default false) turns on
+    {!output.Trace} emission; off, the emission sites compile to a field
+    test and allocate nothing. *)
 
 val handle : t -> now:float -> input -> output list
 (** The single entry point: apply one input at time [now], return the

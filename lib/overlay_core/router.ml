@@ -122,7 +122,7 @@ let set_view t ~now v =
                 map;
               let cache =
                 match old.cache with
-                | Some c when t.config.incremental_rendezvous && m >= 2 ->
+                | Some c when t.config.dissemination = Config.Delta && m >= 2 ->
                     let kept = Grid.remap ~prev:old.grid ~next:grid ~map in
                     Some (Best_hop.Cache.remap c ~n:m ~map:kept)
                 | Some _ | None -> None
@@ -162,7 +162,7 @@ let set_view t ~now v =
                 (match carried_cache with
                 | Some _ as c -> c
                 | None ->
-                    if t.config.incremental_rendezvous && m >= 2 then
+                    if t.config.dissemination = Config.Delta && m >= 2 then
                       Some (Best_hop.Cache.create ~n:m)
                     else None);
             };
@@ -458,7 +458,7 @@ let tick t ~now =
       in
       let changes_prev =
         match ctx.last_announced with
-        | Some prev when t.config.delta_link_state || have_own_vector ->
+        | Some prev when t.config.dissemination = Config.Delta || have_own_vector ->
             Some (Snapshot.diff ~prev ~next:snapshot)
         | Some _ | None -> None
       in
@@ -475,11 +475,10 @@ let tick t ~now =
                 (Snapshot.cost_vector snapshot metric))
       | None -> ());
       let delta =
-        if t.config.delta_link_state then
-          match changes_prev with
-          | Some changes -> Some { Wire.Delta.owner = ctx.self; epoch; changes }
-          | None -> None
-        else None
+        match (t.config.dissemination, changes_prev) with
+        | Config.Delta, Some changes ->
+            Some { Wire.Delta.owner = ctx.self; epoch; changes }
+        | Config.Delta, None | Config.Full, _ -> None
       in
       ctx.last_announced <- Some snapshot;
       ctx.announce_epoch <- epoch + 1;

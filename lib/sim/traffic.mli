@@ -9,7 +9,7 @@
 type cls = Apor_util.Msgclass.t =
   | Probe       (** probes and probe replies *)
   | Routing     (** link-state announcements and recommendations *)
-  | Membership  (** coordinator traffic *)
+  | Membership  (** membership traffic *)
   | Data        (** application packets forwarded over the overlay *)
 (** Re-export of {!Apor_util.Msgclass.t} so transport-agnostic layers can
     classify messages without depending on the simulator. *)

@@ -36,7 +36,7 @@ val install :
   t
 (** Start the failure processes over links among nodes
     [first_node .. last_node] (default: the whole network).  Links touching
-    nodes outside the range — e.g. a membership coordinator — never fail.
+    nodes outside the range never fail.
     Deterministic for a given seed. *)
 
 val flaky_nodes : t -> int list

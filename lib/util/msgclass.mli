@@ -9,7 +9,7 @@
 type t =
   | Probe       (** probes and probe replies *)
   | Routing     (** link-state announcements and recommendations *)
-  | Membership  (** coordinator traffic *)
+  | Membership  (** membership traffic *)
   | Data        (** application packets forwarded over the overlay *)
 
 val all : t list

@@ -1,4 +1,5 @@
 open Apor_overlay
+open Apor_overlay_core
 open Apor_analysis
 
 let check_bool = Alcotest.(check bool)

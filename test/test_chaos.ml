@@ -109,12 +109,6 @@ let test_membership_scenarios () =
          Scenario.at 40. (Scenario.Node_join { node = 4 });
        ]);
   check_bool "members below 2 rejected" true (bad ~members:1 []);
-  check_bool "coordinator-outage + membership rejected" true
-    (bad
-       [
-         Scenario.at 20. (Scenario.Node_join { node = 3 });
-         Scenario.at 30. (Scenario.Coordinator_outage { duration_s = 10. });
-       ]);
   let scn =
     mk
       [
@@ -236,6 +230,8 @@ let test_loader_rejects () =
   check_bool "unknown fault" true
     (bad "(name x) (n 4) (seed 1) (at 130 (meteor-strike 1))");
   check_bool "unknown header" true (bad "(name x) (n 4) (seed 1) (colour blue)");
+  check_bool "retired coordinator-outage fault" true
+    (bad "(name x) (n 4) (seed 1) (at 130 (coordinator-outage 30))");
   check_bool "invalid event survives to validate" true
     (bad "(name x) (n 4) (seed 1) (at 130 (link-flap 0 9 10))")
 
@@ -357,7 +353,7 @@ let test_refused_join_fails () =
    `apor deploy-local`. *)
 let with_udp ~n ~base_port f =
   let module Udp = Apor_deploy.Udp_runtime in
-  let config = Runner.deploy_config in
+  let config = Apor_overlay_core.Config.deploy_local in
   match Udp.create ~config ~n ~base_port ~seed:3 () with
   | exception Unix.Unix_error _ -> ()
   | udp -> Fun.protect ~finally:(fun () -> Udp.close udp) (fun () -> f udp)

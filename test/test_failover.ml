@@ -15,6 +15,7 @@
    We allow one extra routing interval of slack for phase jitter. *)
 
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let check_bool = Alcotest.(check bool)

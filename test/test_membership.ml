@@ -444,7 +444,7 @@ let test_sim_dynamic_join_end_to_end () =
   let oracle = mk_oracle () in
   Oracle.attach oracle trace;
   let cluster =
-    Cluster.create ~config:Apor_overlay.Config.quorum_default ~rtt_ms:rtt
+    Cluster.create ~config:Apor_overlay_core.Config.quorum_default ~rtt_ms:rtt
       ~membership:(Cluster.Dynamic { initial = 9; rtt_ms = 40. })
       ~trace ~seed:3 ()
   in

@@ -14,6 +14,7 @@
 open Apor_util
 open Apor_linkstate
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let check_bool = Alcotest.(check bool)
@@ -216,6 +217,40 @@ let purity_qcheck =
       in
       List.for_all2 outputs_equal (run ()) (run ()))
 
+(* Views change only through the membership core: a bare [Message.View]
+   from the wire, even one with the largest version, must not override
+   the quorum-committed view, and the retired [Join]/[Leave] messages
+   have no effect either. *)
+let test_stray_view_ignored () =
+  let module M = Apor_membership.Membership_core in
+  let members = List.init 9 Fun.id in
+  let core =
+    Node_core.create ~config:Config.quorum_default ~port:0 ~capacity:9
+      ~membership:(M.Member (M.genesis_view ~members))
+      ~rng:(Rng.split (Rng.make ~seed:5) "node.0")
+      ()
+  in
+  ignore (Node_core.handle core ~now:0. Node_core.Start);
+  let committed =
+    match Node_core.current_view core with
+    | Some v -> v
+    | None -> Alcotest.fail "genesis member holds no view"
+  in
+  List.iter
+    (fun msg ->
+      let outputs =
+        Node_core.handle core ~now:60. (Node_core.Deliver { src_port = 5; msg })
+      in
+      check_int (Format.asprintf "%a: no effects" Message.pp msg) 0 (List.length outputs))
+    [
+      Message.View { version = 0xFFFFFFFF; members = [ 0; 5 ] };
+      Message.Join { port = 5 };
+      Message.Leave { port = 5 };
+    ];
+  match Node_core.current_view core with
+  | Some v -> check_bool "committed view kept" true (View.equal v committed)
+  | None -> Alcotest.fail "view lost"
+
 (* --- golden trace: sim-hosted node = bare core -------------------------- *)
 
 (* Deep copies: the table may mutate stored snapshots in place on later
@@ -405,5 +440,6 @@ let () =
           Alcotest.test_case "golden-trace replay under churn" `Slow
             test_golden_trace_replay;
           Alcotest.test_case "t=0 delivery" `Quick test_t0_delivery;
+          Alcotest.test_case "stray view ignored" `Quick test_stray_view_ignored;
         ] );
     ]

@@ -1,6 +1,7 @@
 open Apor_sim
 open Apor_core
 open Apor_overlay
+open Apor_overlay_core
 open Apor_topology
 
 let check_int = Alcotest.(check int)
@@ -265,48 +266,7 @@ let test_quorum_uses_less_routing_bandwidth () =
   let f = measured_routing_kbps ~config:Config.ron_default ~n:36 ~seed:81 in
   check_bool (Printf.sprintf "quorum %.1f < fullmesh %.1f kbps" q f) true (q < f)
 
-(* --- Membership / coordinator ---------------------------------------------------------- *)
-
-let test_join_protocol_forms_overlay () =
-  let n = 9 in
-  let rtt = Array.make_matrix n n 50. in
-  for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
-  let c =
-    Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:31 ()
-  in
-  Cluster.start c;
-  Cluster.run_until c 240.;
-  (* all nodes share the same full view *)
-  for node = 0 to n - 1 do
-    match Node.current_view (Cluster.node c node) with
-    | None -> Alcotest.failf "node %d has no view" node
-    | Some v -> check_int (Printf.sprintf "node %d view size" node) n (View.size v)
-  done;
-  (* and routes work *)
-  match Cluster.best_hop c ~src:0 ~dst:(n - 1) with
-  | None -> Alcotest.fail "no route after join"
-  | Some _ -> ()
-
-let test_views_are_consistent_after_join () =
-  let n = 6 in
-  let rtt = Array.make_matrix n n 50. in
-  for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
-  let c =
-    Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:32 ()
-  in
-  Cluster.start c;
-  Cluster.run_until c 240.;
-  let versions =
-    List.init n (fun node ->
-        match Node.current_view (Cluster.node c node) with
-        | Some v -> View.version v
-        | None -> -1)
-  in
-  match versions with
-  | [] -> ()
-  | v0 :: rest -> List.iter (fun v -> check_int "same version" v0 v) rest
+(* --- Membership ---------------------------------------------------------------- *)
 
 let test_static_membership_instant () =
   let c = small_cluster ~n:4 () in
@@ -322,15 +282,18 @@ let test_static_membership_instant () =
 
 (* --- Churn: joins and leaves mid-run --------------------------------------------- *)
 
-let coordinator_cluster ~n ~seed =
+(* Quorum-replicated membership: ports [0, initial) are genesis members,
+   the rest pending joiners. *)
+let dynamic_cluster ?(config = Config.quorum_default) ?initial ~n ~seed () =
   let rtt = Array.make_matrix n n 50. in
   for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
-  Cluster.create ~config:Config.quorum_default ~rtt_ms:rtt
-    ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed ()
+  let initial = Option.value initial ~default:n in
+  Cluster.create ~config ~rtt_ms:rtt
+    ~membership:(Cluster.Dynamic { initial; rtt_ms = 80. }) ~seed ()
 
 let test_leave_shrinks_views_and_routes_survive () =
   let n = 8 in
-  let c = coordinator_cluster ~n ~seed:41 in
+  let c = dynamic_cluster ~n ~seed:41 () in
   Cluster.start c;
   Cluster.run_until c 240.;
   let leaver = 3 in
@@ -356,14 +319,15 @@ let test_leave_shrinks_views_and_routes_survive () =
 
 let test_late_join_via_recovery () =
   let n = 8 in
-  let c = coordinator_cluster ~n ~seed:43 in
-  let late = 5 in
-  (* node [late] is partitioned from everyone (including the coordinator)
-     from the start: its Join messages are lost, so the first views exclude
-     it; when its connectivity returns it joins late. *)
+  let late = n - 1 in
+  let c = dynamic_cluster ~initial:late ~n ~seed:43 () in
+  (* node [late] is partitioned from everyone from the start: its join
+     requests are lost, so the first views exclude it; when its
+     connectivity returns it joins late. *)
   Network.fail_node (Cluster.network c) late;
   Scenario.install ~engine:(Cluster.engine c) [ (300., Scenario.Node_up late) ];
   Cluster.start c;
+  Cluster.join_node c late;
   Cluster.run_until c 240.;
   (match Node.current_view (Cluster.node c 0) with
   | Some v ->
@@ -379,7 +343,7 @@ let test_late_join_via_recovery () =
 
 let test_rejoin_after_leave () =
   let n = 6 in
-  let c = coordinator_cluster ~n ~seed:47 in
+  let c = dynamic_cluster ~n ~seed:47 () in
   Cluster.start c;
   Cluster.run_until c 240.;
   Node.leave (Cluster.node c 2);
@@ -393,33 +357,25 @@ let test_rejoin_after_leave () =
       check_bool "rejoiner present" true (View.contains_port v 2)
   | None -> Alcotest.fail "no view"
 
-
-(* --- Coordinator lease expiry --------------------------------------------------- *)
-
-let test_coordinator_expires_silent_member () =
+let test_silent_member_evicted () =
   let n = 6 in
-  let rtt = Array.make_matrix n n 50. in
-  for i = 0 to n - 1 do rtt.(i).(i) <- 0. done;
-  (* short lease so the test stays fast: refresh every 120 s *)
+  (* short lease so the test stays fast: evict after 120 s of silence *)
   let config = { Config.quorum_default with Config.membership_refresh_s = 120. } in
-  let c =
-    Cluster.create ~config ~rtt_ms:rtt
-      ~membership:(Cluster.Coordinator { rtt_ms = 80. }) ~seed:83 ()
-  in
+  let c = dynamic_cluster ~config ~n ~seed:83 () in
   Cluster.start c;
   Cluster.run_until c 100.;
   (match Node.current_view (Cluster.node c 0) with
   | Some v -> check_int "everyone joined" n (View.size v)
   | None -> Alcotest.fail "no view");
-  (* node 4 goes permanently dark: its lease refreshes stop reaching the
-     coordinator, which must expire it after the membership timeout *)
+  (* node 4 goes permanently dark: the survivors' monitors report it
+     silent, and lazy eviction drops it once the lease runs out *)
   Network.fail_node (Cluster.network c) 4;
   Cluster.run_until c 500.;
   match Node.current_view (Cluster.node c 0) with
   | Some v ->
-      check_int "silent member expired" (n - 1) (View.size v);
+      check_int "silent member evicted" (n - 1) (View.size v);
       check_bool "node 4 gone" false (View.contains_port v 4)
-  | None -> Alcotest.fail "no view after expiry"
+  | None -> Alcotest.fail "no view after eviction"
 
 (* --- Fuzz: random link flapping, then self-healing ------------------------------- *)
 
@@ -626,8 +582,6 @@ let () =
         [ Alcotest.test_case "quorum cheaper than fullmesh" `Slow test_quorum_uses_less_routing_bandwidth ] );
       ( "membership",
         [
-          Alcotest.test_case "join protocol" `Slow test_join_protocol_forms_overlay;
-          Alcotest.test_case "consistent views" `Slow test_views_are_consistent_after_join;
           Alcotest.test_case "static instant" `Quick test_static_membership_instant;
         ] );
       ( "churn",
@@ -635,7 +589,7 @@ let () =
           Alcotest.test_case "leave shrinks views" `Slow test_leave_shrinks_views_and_routes_survive;
           Alcotest.test_case "late join via recovery" `Slow test_late_join_via_recovery;
           Alcotest.test_case "rejoin after leave" `Slow test_rejoin_after_leave;
-          Alcotest.test_case "coordinator expires silent member" `Slow test_coordinator_expires_silent_member;
+          Alcotest.test_case "silent member evicted" `Slow test_silent_member_evicted;
         ] );
       ( "data-plane",
         [

@@ -179,10 +179,10 @@ let test_failures_respect_node_range () =
     { Failures.mean_time_to_failure_s = 20.; mean_downtime_s = 1000.;
       flaky_fraction = 0.; flaky_rate_multiplier = 1. }
   in
-  (* coordinator at port n excluded from failures *)
+  (* port n lies outside the range and is excluded from failures *)
   let _ = Failures.install ~engine ~last_node:(n - 1) ~profile ~seed:5 () in
   Engine.run_until engine 5000.;
-  check_int "coordinator untouched" 0 (Network.down_links net n)
+  check_int "out-of-range node untouched" 0 (Network.down_links net n)
 
 (* --- Scenario -------------------------------------------------------------------- *)
 
