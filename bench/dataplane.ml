@@ -67,7 +67,7 @@ let run ~quick ~seed =
   Texttable.print table;
   Printf.printf "\nreal sockets (loopback UDP, n=8, compressed timescales)...\n%!";
   match Apor_dataplane.Run.run_udp ~n:8 ~seed ~base_port:9600 () with
-  | Error e -> Printf.printf "udp: %s; skipping\n" e
+  | Error (`Sockets_unavailable e) -> Printf.printf "udp: sockets unavailable (%s); skipping\n" e
   | Ok r ->
       print_string r.Apor_dataplane.Run.json;
       if r.Apor_dataplane.Run.conservation_violations > 0 then

@@ -398,7 +398,7 @@ let chaos ~quick ~seed =
       ]
   in
   match Runner.run_sim scn with
-  | Error e -> Printf.printf "chaos: error: %s\n" e
+  | Error (`Invalid e | `Sockets_unavailable e) -> Printf.printf "chaos: error: %s\n" e
   | Ok { Runner.score; violations; passed } ->
       Apor_analysis.Resilience.print score;
       List.iter

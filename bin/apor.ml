@@ -16,6 +16,17 @@ open Apor_overlay
 open Apor_overlay_core
 open Apor_topology
 
+(* A UDP run without loopback sockets (sandboxed CI, exhausted ports) is
+   reported and skipped, never failed; ci.sh counts the skips. *)
+let or_skip cmd = function
+  | Ok x -> x
+  | Error (`Sockets_unavailable why) ->
+      Format.printf "%s: sockets unavailable (%s); skipping@." cmd why;
+      exit 0
+  | Error (`Invalid e) ->
+      Format.eprintf "%s: %s@." cmd e;
+      exit 2
+
 (* --- grid ------------------------------------------------------------------ *)
 
 let run_grid n node =
@@ -178,74 +189,69 @@ let run_deploy_local n duration quick base_port seed json =
       ()
   in
   Apor_trace.Oracle.attach oracle trace;
-  match Udp.create ~config ~n ~base_port ~trace ~seed () with
-  | exception Unix.Unix_error (err, fn, _) ->
-      (* No usable loopback sockets (sandboxed CI, exhausted ports):
-         report and skip rather than fail the smoke test. *)
-      Format.printf "deploy-local: sockets unavailable (%s in %s); skipping@."
-        (Unix.error_message err) fn;
-      exit 0
-  | udp ->
-      Format.printf
-        "deploy-local: %d nodes on 127.0.0.1:%d-%d, %.0fs wall clock (r = %.1fs)...@."
-        n base_port (base_port + n - 1) duration config.Config.routing_interval_s;
-      Udp.start udp;
-      Udp.run udp ~duration;
-      let covered, total = Udp.coverage udp in
-      Apor_trace.Oracle.check_traffic oracle ~n
-        ~accounted:(fun node -> Udp.accounted_bytes udp node)
-        ~now:(Udp.now udp);
-      let violations = Apor_trace.Oracle.violation_count oracle in
-      let stats = Udp.stats udp in
-      let freshness =
-        List.concat_map
-          (fun src ->
-            List.filter_map
-              (fun dst ->
-                if src = dst then None
-                else
-                  Apor_overlay_core.Node_core.freshness (Udp.node_core udp src)
-                    ~now:(Udp.now udp) ~dst_port:dst)
-              (List.init n Fun.id))
-          (List.init n Fun.id)
-      in
-      Udp.close udp;
-      let fresh_summary = Stats.summarize freshness in
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf "{";
-      Printf.bprintf buf "\"n\": %d, \"duration_s\": %.3f, " n (Udp.now udp);
-      Printf.bprintf buf "\"pairs_covered\": %d, \"pairs_total\": %d, " covered total;
-      Printf.bprintf buf "\"oracle_violations\": %d, " violations;
-      Printf.bprintf buf
-        "\"recommendations_checked\": %d, \"applications_checked\": %d, "
-        (Apor_trace.Oracle.recommendations_checked oracle)
-        (Apor_trace.Oracle.applications_checked oracle);
-      Printf.bprintf buf
-        "\"datagrams_sent\": %d, \"datagrams_received\": %d, \"send_retries\": %d, \"frames_dropped\": %d, "
-        stats.Udp.datagrams_sent stats.Udp.datagrams_received stats.Udp.send_retries
-        stats.Udp.frames_dropped;
-      Printf.bprintf buf "\"trace_events\": %d" (Apor_trace.Collector.total trace);
-      (match fresh_summary with
-      | Some f ->
-          Printf.bprintf buf ", \"freshness_p50_s\": %.3f, \"freshness_max_s\": %.3f"
-            f.Stats.p50 f.Stats.max
-      | None -> ());
-      Buffer.add_string buf "}";
-      let payload = Buffer.contents buf in
-      (match json with
-      | Some path ->
-          let oc = open_out path in
-          output_string oc payload;
-          output_string oc "\n";
-          close_out oc;
-          Format.printf "wrote %s@." path
-      | None -> Format.printf "%s@." payload);
-      Format.printf "coverage: %d/%d pairs; oracle violations: %d@." covered total
-        violations;
-      List.iter
-        (fun v -> Format.printf "  %a@." Apor_trace.Oracle.pp_violation v)
-        (Apor_trace.Oracle.violations oracle);
-      if covered < total || violations > 0 then exit 1
+  let covered, total, stats, freshness, elapsed =
+    or_skip "deploy-local"
+    @@ Udp.with_runtime ~config ~n ~membership:`Static ~base_port ~trace ~seed (fun udp ->
+           Format.printf
+             "deploy-local: %d nodes on 127.0.0.1:%d-%d, %.0fs wall clock (r = %.1fs)...@."
+             n base_port (base_port + n - 1) duration config.Config.routing_interval_s;
+           Udp.start udp;
+           Udp.run udp ~duration;
+           let now = Udp.now udp in
+           Apor_trace.Oracle.check_traffic oracle ~n ~accounted:(Udp.accounted_bytes udp)
+             ~now;
+           let freshness =
+             List.concat_map
+               (fun src ->
+                 List.filter_map
+                   (fun dst ->
+                     if src = dst then None
+                     else
+                       Apor_overlay_core.Node_core.freshness (Udp.node_core udp src) ~now
+                         ~dst_port:dst)
+                   (List.init n Fun.id))
+               (List.init n Fun.id)
+           in
+           let covered, total = Udp.coverage udp in
+           (covered, total, Udp.stats udp, freshness, now))
+  in
+  let violations = Apor_trace.Oracle.violation_count oracle in
+  let fresh_summary = Stats.summarize freshness in
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf "{";
+  Printf.bprintf buf "\"n\": %d, \"duration_s\": %.3f, " n elapsed;
+  Printf.bprintf buf "\"pairs_covered\": %d, \"pairs_total\": %d, " covered total;
+  Printf.bprintf buf "\"oracle_violations\": %d, " violations;
+  Printf.bprintf buf
+    "\"recommendations_checked\": %d, \"applications_checked\": %d, "
+    (Apor_trace.Oracle.recommendations_checked oracle)
+    (Apor_trace.Oracle.applications_checked oracle);
+  Printf.bprintf buf
+    "\"datagrams_sent\": %d, \"datagrams_received\": %d, \"send_retries\": %d, \"frames_dropped\": %d, "
+    stats.Udp.datagrams_sent stats.Udp.datagrams_received stats.Udp.send_retries
+    stats.Udp.frames_dropped;
+  Printf.bprintf buf "\"trace_events\": %d" (Apor_trace.Collector.total trace);
+  (match fresh_summary with
+  | Some f ->
+      Printf.bprintf buf ", \"freshness_p50_s\": %.3f, \"freshness_max_s\": %.3f"
+        f.Stats.p50 f.Stats.max
+  | None -> ());
+  Buffer.add_string buf "}";
+  let payload = Buffer.contents buf in
+  (match json with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc payload;
+      output_string oc "\n";
+      close_out oc;
+      Format.printf "wrote %s@." path
+  | None -> Format.printf "%s@." payload);
+  Format.printf "coverage: %d/%d pairs; oracle violations: %d@." covered total
+    violations;
+  List.iter
+    (fun v -> Format.printf "  %a@." Apor_trace.Oracle.pp_violation v)
+    (Apor_trace.Oracle.violations oracle);
+  if covered < total || violations > 0 then exit 1
 
 let deploy_local_cmd =
   let n = Arg.(value & opt int 9 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Overlay size.") in
@@ -317,49 +323,39 @@ let run_chaos scenario_file runtime json base_port time_scale verbose =
   | Ok scn -> (
       Format.printf "%a@." Scenario.pp scn;
       let progress = if verbose then fun s -> Format.printf "  %s@." s else fun _ -> () in
-      let result =
-        match runtime with
-        | `Sim -> Runner.run_sim ~progress scn
-        | `Udp -> Runner.run_udp ~base_port ?time_scale ~progress scn
+      let outcome =
+        or_skip "chaos"
+          (match runtime with
+          | `Sim -> Runner.run_sim ~progress scn
+          | `Udp -> Runner.run_udp ~base_port ?time_scale ~progress scn)
       in
-      match result with
-      | Error e when runtime = `Udp && String.length e >= 7 && String.sub e 0 7 = "sockets"
-        ->
-          (* No usable loopback sockets (sandboxed CI): skip, like
-             deploy-local does. *)
-          Format.printf "chaos: %s; skipping@." e;
-          exit 0
-      | Error e ->
-          Format.eprintf "chaos: %s@." e;
-          exit 2
-      | Ok outcome ->
-          print_string (Apor_analysis.Resilience.render outcome.Runner.score);
-          (match json with
-          | Some path ->
-              let oc = open_out path in
-              output_string oc (Apor_chaos.Score.to_json outcome.Runner.score);
-              close_out oc;
-              Format.printf "wrote %s@." path
-          | None -> ());
-          if outcome.Runner.violations <> [] then begin
-            Format.printf "oracle violations:@.";
-            List.iter
-              (fun v -> Format.printf "  %a@." Apor_trace.Oracle.pp_violation v)
-              outcome.Runner.violations
-          end;
-          if not outcome.Runner.passed then begin
-            let score = outcome.Runner.score in
-            Format.printf "FAILED: %s@."
-              (if score.Apor_chaos.Score.violations_out_of_grace > 0 then
-                 "invariant violations outside fault windows"
-               else if
-                 score.Apor_chaos.Score.joins_admitted
-                 < score.Apor_chaos.Score.joins_requested
-               then "join events refused or lost"
-               else "pairs without a fresh route at the horizon");
-            exit 1
-          end;
-          Format.printf "PASSED@.")
+      print_string (Apor_analysis.Resilience.render outcome.Runner.score);
+      (match json with
+      | Some path ->
+          let oc = open_out path in
+          output_string oc (Apor_chaos.Score.to_json outcome.Runner.score);
+          close_out oc;
+          Format.printf "wrote %s@." path
+      | None -> ());
+      if outcome.Runner.violations <> [] then begin
+        Format.printf "oracle violations:@.";
+        List.iter
+          (fun v -> Format.printf "  %a@." Apor_trace.Oracle.pp_violation v)
+          outcome.Runner.violations
+      end;
+      if not outcome.Runner.passed then begin
+        let score = outcome.Runner.score in
+        Format.printf "FAILED: %s@."
+          (if score.Apor_chaos.Score.violations_out_of_grace > 0 then
+             "invariant violations outside fault windows"
+           else if
+             score.Apor_chaos.Score.joins_admitted
+             < score.Apor_chaos.Score.joins_requested
+           then "join events refused or lost"
+           else "pairs without a fresh route at the horizon");
+        exit 1
+      end;
+      Format.printf "PASSED@.")
 
 let chaos_cmd =
   let scenario =
@@ -446,19 +442,12 @@ let run_traffic runtime n seed duration shape rate payload hotspot closed window
   match runtime with
   | `Sim -> finish (Run.run_sim ?n ~seed ?duration_s:duration ~spec ~churn ())
   | `Udp -> (
-      match Run.run_udp ?n ~seed ?duration_s:duration ~base_port ~spec () with
-      | Error e when String.length e >= 7 && String.sub e 0 7 = "sockets" ->
-          Format.printf "traffic: %s; skipping@." e;
-          exit 0
-      | Error e ->
-          Format.eprintf "traffic: %s@." e;
-          exit 2
-      | Ok r ->
-          finish r;
-          if r.Run.goodput_kbps <= 0. then begin
-            Format.printf "FAILED: zero goodput over real sockets@.";
-            exit 1
-          end)
+      let r = or_skip "traffic" (Run.run_udp ?n ~seed ?duration_s:duration ~base_port ~spec ()) in
+      finish r;
+      if r.Run.goodput_kbps <= 0. then begin
+        Format.printf "FAILED: zero goodput over real sockets@.";
+        exit 1
+      end)
 
 let traffic_cmd =
   let runtime =

@@ -62,43 +62,29 @@ let windows (scn : Scenario.t) =
 (* Undirected link key. *)
 let key a b = if a < b then (a, b) else (b, a)
 
-(* Reference-counted link liveness, shared by both injectors: a link is
-   forced down while any flap / region outage / (sim) crash holds it. *)
-module Downs = struct
-  type t = (int * int, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  (* Returns [Some forced_down] on a 0<->1 transition, [None] otherwise. *)
-  let shift t a b ~down =
+(* Reference-counted forced link-down state, shared by both worlds: a link
+   is down while any flap, region outage or (simulator) crash holds it, so
+   [set a b up] hears only the 0 <-> 1 transitions. *)
+let link_downs ~size ~set =
+  let counts = Hashtbl.create 64 in
+  let shift a b ~down =
     let k = key a b in
-    let c =
-      match Hashtbl.find_opt t k with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.replace t k c;
-          c
-    in
-    let before = !c in
-    c := max 0 (!c + if down then 1 else -1);
-    if before = 0 && !c > 0 then Some true
-    else if before > 0 && !c = 0 then Some false
-    else None
+    let before = Option.value (Hashtbl.find_opt counts k) ~default:0 in
+    let after = max 0 (before + if down then 1 else -1) in
+    Hashtbl.replace counts k after;
+    if (before = 0) <> (after = 0) then set a b (after = 0)
+  in
+  let shift_node i ~down =
+    for j = 0 to size - 1 do
+      if j <> i then shift i j ~down
+    done
+  in
+  (shift, shift_node)
 
-  let blocked t a b = match Hashtbl.find_opt t (key a b) with Some c -> !c > 0 | None -> false
-end
-
-(* Simulator: every action becomes an engine timer rewriting the
-   network. *)
-
-let install_sim (type msg) (engine : msg Apor_sim.Engine.t) ?on_join (scn : Scenario.t) =
+let sim net =
   let open Apor_sim in
-  if Scenario.joins scn <> [] && on_join = None then
-    invalid_arg "Injector.install_sim: scenario has node-join events but no on_join callback";
-  let net = Engine.network engine in
   let size = Network.size net in
-  let downs = Downs.create () in
+  let link_shift, node_shift = link_downs ~size ~set:(Network.set_link_up net) in
   (* Pre-chaos baselines, captured at first touch — all mutation goes
      through this injector, so first touch sees the pristine value. *)
   let base_loss : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -126,147 +112,94 @@ let install_sim (type msg) (engine : msg Apor_sim.Engine.t) ?on_join (scn : Scen
     let f = match Hashtbl.find_opt rtt_factor k with Some f -> f | None -> 1. in
     Network.set_rtt_ms net a b (r0 *. f)
   in
-  let link_shift a b ~down =
-    match Downs.shift downs a b ~down with
-    | Some forced -> Network.set_link_up net a b (not forced)
-    | None -> ()
-  in
-  let node_shift i ~down =
+  let corrupt_shift node delta =
+    corrupt.(node) <- Float.min 1. (Float.max 0. (corrupt.(node) +. delta));
     for j = 0 to size - 1 do
-      if j <> i then link_shift i j ~down
+      if j <> node then recompute_loss node j
     done
   in
-  let apply = function
-    | Link_set { a; b; up } -> link_shift a b ~down:(not up)
-    | Loss_set { a; b; loss } ->
-        Hashtbl.replace burst (key a b) loss;
-        recompute_loss a b
-    | Loss_restore { a; b } ->
-        Hashtbl.remove burst (key a b);
-        recompute_loss a b
-    | Rtt_scale { a; b; factor } ->
-        Hashtbl.replace rtt_factor (key a b) factor;
-        recompute_rtt a b
-    | Rtt_restore { a; b } ->
-        Hashtbl.remove rtt_factor (key a b);
-        recompute_rtt a b
-    | Region_set { nodes; down } -> List.iter (fun i -> node_shift i ~down) nodes
-    | Crash i -> node_shift i ~down:true
-    | Restart i -> node_shift i ~down:false
-    (* The simulator cannot unschedule a node's timers, so a permanent
-       kill is permanent isolation: the corpse keeps ticking into dead
-       links, which is indistinguishable from a crash to its peers. *)
-    | Kill i -> node_shift i ~down:true
-    | Join i -> (
-        match on_join with
-        | Some f -> f i
-        | None -> (* unreachable: checked above *) ())
-    | Frame_on { node; kind = Corrupt; rate } ->
-        corrupt.(node) <- Float.min 1. (corrupt.(node) +. rate);
-        for j = 0 to size - 1 do
-          if j <> node then recompute_loss node j
-        done
-    | Frame_off { node; kind = Corrupt; rate } ->
-        corrupt.(node) <- Float.max 0. (corrupt.(node) -. rate);
-        for j = 0 to size - 1 do
-          if j <> node then recompute_loss node j
-        done
-    | Frame_on { kind = Duplicate | Reorder; _ } | Frame_off { kind = Duplicate | Reorder; _ }
-      ->
-        (* no simulator analogue: the engine delivers each send at most
-           once and in timestamp order *)
-        ()
+  function
+  | Link_set { a; b; up } -> link_shift a b ~down:(not up)
+  | Loss_set { a; b; loss } ->
+      Hashtbl.replace burst (key a b) loss;
+      recompute_loss a b
+  | Loss_restore { a; b } ->
+      Hashtbl.remove burst (key a b);
+      recompute_loss a b
+  | Rtt_scale { a; b; factor } ->
+      Hashtbl.replace rtt_factor (key a b) factor;
+      recompute_rtt a b
+  | Rtt_restore { a; b } ->
+      Hashtbl.remove rtt_factor (key a b);
+      recompute_rtt a b
+  | Region_set { nodes; down } -> List.iter (fun i -> node_shift i ~down) nodes
+  (* The simulator cannot unschedule a node's timers, so a crash is
+     isolation and a permanent kill is permanent isolation: the corpse
+     keeps ticking into dead links, which is indistinguishable from a
+     crash to its peers. *)
+  | Crash i | Kill i -> node_shift i ~down:true
+  | Restart i -> node_shift i ~down:false
+  | Join _ -> ()
+  | Frame_on { node; kind = Corrupt; rate } -> corrupt_shift node rate
+  | Frame_off { node; kind = Corrupt; rate } -> corrupt_shift node (-.rate)
+  | Frame_on { kind = Duplicate | Reorder; _ } | Frame_off { kind = Duplicate | Reorder; _ }
+    ->
+      (* no simulator analogue: the engine delivers each send at most
+         once and in timestamp order *)
+      ()
+
+(* Loopback RTT is effectively zero, so a latency spike injects an
+   absolute delay proportional to its factor; reordering holds a frame
+   back long enough for the next protocol tick's frames to overtake. *)
+let spike_delay_s factor = factor *. 0.005
+let reorder_delay_s = 0.04
+
+let udp (scn : Scenario.t) runtime =
+  let module Runtime = Apor_deploy.Udp_runtime in
+  let rng = Rng.split (Rng.make ~seed:scn.seed) "chaos.udp.injector" in
+  let link_shift, node_shift =
+    link_downs ~size:scn.n ~set:(Runtime.set_link_up runtime)
   in
-  List.iter
-    (fun (time, action) -> Engine.schedule_at engine ~time (fun () -> apply action))
-    (timeline scn)
-
-(* Real UDP: a stateful interpreter the runner drives between run
-   segments, plus the frame-fate hook. *)
-
-module Udp = struct
-  module Runtime = Apor_deploy.Udp_runtime
-
-  type t = {
-    scn : Scenario.t;
-    rng : Rng.t;
-    downs : Downs.t;
-    burst : (int * int, float) Hashtbl.t;
-    rtt_factor : (int * int, float) Hashtbl.t;
-    corrupt : float array;
-    duplicate : float array;
-    reorder : float array;
-  }
-
-  let create (scn : Scenario.t) =
-    {
-      scn;
-      rng = Rng.split (Rng.make ~seed:scn.seed) "chaos.udp.injector";
-      downs = Downs.create ();
-      burst = Hashtbl.create 16;
-      rtt_factor = Hashtbl.create 16;
-      corrupt = Array.make scn.n 0.;
-      duplicate = Array.make scn.n 0.;
-      reorder = Array.make scn.n 0.;
-    }
-
-  let link_blocked t a b = Downs.blocked t.downs a b
-
-  (* Loopback RTT is effectively zero, so a latency spike injects an
-     absolute delay proportional to its factor; reordering holds a frame
-     back long enough for the next protocol tick's frames to overtake. *)
-  let spike_delay_s factor = factor *. 0.005
-  let reorder_delay_s = 0.04
-
-  let fate t ~now:_ ~src ~dst : Runtime.frame_fate =
-    if Downs.blocked t.downs src dst then Drop
+  let burst : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
+  let rtt_factor : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
+  let corrupt = Array.make scn.n 0. in
+  let duplicate = Array.make scn.n 0. in
+  let reorder = Array.make scn.n 0. in
+  let fate ~now:_ ~src ~dst : Runtime.frame_fate =
+    let lost =
+      match Hashtbl.find_opt burst (key src dst) with
+      | Some p -> Rng.bernoulli rng ~p
+      | None -> false
+    in
+    if lost then Drop
+    else if corrupt.(src) > 0. && Rng.bernoulli rng ~p:corrupt.(src) then Corrupt
+    else if duplicate.(src) > 0. && Rng.bernoulli rng ~p:duplicate.(src) then Duplicate
+    else if reorder.(src) > 0. && Rng.bernoulli rng ~p:reorder.(src) then
+      Delay reorder_delay_s
     else
-      let lost =
-        match Hashtbl.find_opt t.burst (key src dst) with
-        | Some p -> Rng.bernoulli t.rng ~p
-        | None -> false
-      in
-      if lost then Drop
-      else if t.corrupt.(src) > 0. && Rng.bernoulli t.rng ~p:t.corrupt.(src) then Corrupt
-      else if t.duplicate.(src) > 0. && Rng.bernoulli t.rng ~p:t.duplicate.(src) then
-        Duplicate
-      else if t.reorder.(src) > 0. && Rng.bernoulli t.rng ~p:t.reorder.(src) then
-        Delay reorder_delay_s
-      else
-        match Hashtbl.find_opt t.rtt_factor (key src dst) with
-        | Some f -> Delay (spike_delay_s f)
-        | None -> Pass
-
-  let attach t runtime =
-    Runtime.set_fault_injector runtime
-      (Some (fun ~now ~src ~dst -> fate t ~now ~src ~dst))
-
-  let rates t = function
-    | Scenario.Corrupt -> t.corrupt
-    | Duplicate -> t.duplicate
-    | Reorder -> t.reorder
-
-  let apply t runtime = function
-    | Link_set { a; b; up } -> ignore (Downs.shift t.downs a b ~down:(not up))
-    | Loss_set { a; b; loss } -> Hashtbl.replace t.burst (key a b) loss
-    | Loss_restore { a; b } -> Hashtbl.remove t.burst (key a b)
-    | Rtt_scale { a; b; factor } -> Hashtbl.replace t.rtt_factor (key a b) factor
-    | Rtt_restore { a; b } -> Hashtbl.remove t.rtt_factor (key a b)
-    | Region_set { nodes; down } ->
-        List.iter
-          (fun i ->
-            for j = 0 to t.scn.n - 1 do
-              if j <> i then ignore (Downs.shift t.downs i j ~down)
-            done)
-          nodes
-    | Crash i -> Runtime.kill_node runtime i
-    | Restart i -> Runtime.restart_node runtime i
-    | Kill i -> Runtime.kill_node runtime i
-    | Join i -> Runtime.join_node runtime i
-    | Frame_on { node; kind; rate } ->
-        let r = rates t kind in
-        r.(node) <- Float.min 1. (r.(node) +. rate)
-    | Frame_off { node; kind; rate } ->
-        let r = rates t kind in
-        r.(node) <- Float.max 0. (r.(node) -. rate)
-end
+      match Hashtbl.find_opt rtt_factor (key src dst) with
+      | Some f -> Delay (spike_delay_s f)
+      | None -> Pass
+  in
+  Runtime.set_fault_injector runtime (Some fate);
+  let rates = function
+    | Scenario.Corrupt -> corrupt
+    | Duplicate -> duplicate
+    | Reorder -> reorder
+  in
+  function
+  | Link_set { a; b; up } -> link_shift a b ~down:(not up)
+  | Loss_set { a; b; loss } -> Hashtbl.replace burst (key a b) loss
+  | Loss_restore { a; b } -> Hashtbl.remove burst (key a b)
+  | Rtt_scale { a; b; factor } -> Hashtbl.replace rtt_factor (key a b) factor
+  | Rtt_restore { a; b } -> Hashtbl.remove rtt_factor (key a b)
+  | Region_set { nodes; down } -> List.iter (fun i -> node_shift i ~down) nodes
+  | Crash i | Kill i -> Runtime.kill_node runtime i
+  | Restart i -> Runtime.restart_node runtime i
+  | Join _ -> ()
+  | Frame_on { node; kind; rate } ->
+      let r = rates kind in
+      r.(node) <- Float.min 1. (r.(node) +. rate)
+  | Frame_off { node; kind; rate } ->
+      let r = rates kind in
+      r.(node) <- Float.max 0. (r.(node) -. rate)

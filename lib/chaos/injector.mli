@@ -2,10 +2,8 @@
 
     A scenario compiles to a {!timeline} of primitive {!action}s — each
     fault contributes one action when it starts and one when it clears.
-    The simulator injector installs the whole timeline as engine timers
-    ({!install_sim}); the UDP injector ({!Udp}) is a stateful interpreter
-    the runner drives between [Udp_runtime.run] segments, plus a
-    frame-fate hook wired into [Udp_runtime.set_fault_injector].
+    The runner arms every action as a host timer; what an action does to
+    the world is the one part that differs per runtime ({!sim}, {!udp}).
 
     Concurrent faults compose: link liveness is reference-counted (a link
     downed by both a flap and a region outage stays down until {e both}
@@ -36,43 +34,22 @@ val windows : Scenario.t -> (float * float) list
 (** [(at, clears_at)] per event, sorted by start — the fault windows the
     scorer measures availability and grace against. *)
 
-(** {1 Simulator} *)
+(** {1 Changing the world}
 
-val install_sim :
-  'msg Apor_sim.Engine.t ->
-  ?on_join:(int -> unit) ->
-  Scenario.t ->
-  unit
-(** Schedule every timeline action as an engine timer mutating the
-    engine's {!Apor_sim.Network}.  Node crashes become network isolation
+    Each returns the interpreter for one run.  Neither handles [Join]:
+    waking a joiner is the host's own [join_node]. *)
+
+val sim : Apor_sim.Network.t -> action -> unit
+(** Rewrite the simulated network.  Node crashes become network isolation
     (every link of the node down — the simulator keeps the core's state,
     so "restart" is a rejoin with memory; the UDP runtime does the real
-    thing); a [Kill] is the same isolation, never lifted.  A [Join] calls
-    [on_join] (the runner passes [Cluster.join_node]).  [Frame_fault
+    thing); a [Kill] is the same isolation, never lifted.  [Frame_fault
     Corrupt] becomes equivalent loss on the node's links;
-    [Duplicate]/[Reorder] have no simulator analogue and are ignored.
-    @raise Invalid_argument if the scenario contains node-join events
-    and [on_join] is [None]. *)
+    [Duplicate]/[Reorder] have no simulator analogue and are ignored. *)
 
-(** {1 Real UDP} *)
-
-module Udp : sig
-  type t
-
-  val create : Scenario.t -> t
-  (** Fault-state interpreter; loss/corruption draws come from a stream
-      split off the scenario seed. *)
-
-  val attach : t -> Apor_deploy.Udp_runtime.t -> unit
-  (** Install the frame-fate hook ([Drop]/[Corrupt]/[Duplicate]/[Delay])
-      reflecting the interpreter's current fault state. *)
-
-  val apply : t -> Apor_deploy.Udp_runtime.t -> action -> unit
-  (** Apply one timeline action now.  [Crash]/[Restart]/[Kill]/[Join]
-      call the runtime's kill/restart/join; everything else mutates
-      interpreter state read by the fate hook. *)
-
-  val link_blocked : t -> int -> int -> bool
-  (** Is the (undirected) link currently forced down by a flap or region
-      outage?  Used by availability scoring. *)
-end
+val udp : Scenario.t -> Apor_deploy.Udp_runtime.t -> action -> unit
+(** Drive real sockets: flaps and region outages force links down
+    ([Udp_runtime.set_link_up]), crashes and kills close sockets and
+    restarts boot fresh cores; loss, latency and frame faults live in a
+    frame-fate hook installed on the runtime at once, whose draws come
+    from a stream split off the scenario seed. *)

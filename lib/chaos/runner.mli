@@ -1,9 +1,14 @@
 (** Executing a {!Scenario} end to end and scoring the run.
 
-    Both runners build an overlay, attach the trace collector and the
-    invariant {!Apor_trace.Oracle} (recording, not raising), install the
-    {!Injector}, drive the run while sampling pair availability around
-    every fault window, and distill a {!Score}.
+    One run body, written over {!Apor_overlay_core.Host.S}, serves both
+    runtimes: it arms every {!Injector.timeline} action as a host timer,
+    attaches the trace collector, the invariant {!Apor_trace.Oracle}
+    (recording, not raising) and a light background workload, samples
+    pair availability around every fault window from the host's
+    [link_up] and each source's best hop, and distills a {!Score}.  Per
+    runtime remain only the construction, how an action changes the
+    world ({!Injector.sim}, {!Injector.udp}) and the UDP socket counters
+    of {!Score.transport}.
 
     Metric accumulation happens in collector {e subscribers}, not by
     querying the ring afterwards: engine events dominate volume and wrap
@@ -16,11 +21,15 @@ type outcome = {
   passed : bool;  (** {!Score.passed} with the scenario's recovery flag *)
 }
 
+type error =
+  [ `Invalid of string  (** the scenario fails {!Scenario.validate} *)
+  | `Sockets_unavailable of string  (** no loopback sockets: skip, not fail *) ]
+
 val run_sim :
   ?params:Apor_topology.Internet.params ->
   ?progress:(string -> unit) ->
   Scenario.t ->
-  (outcome, string) result
+  (outcome, error) result
 (** Replay on the simulator: synthetic Internet from the scenario's
     [(seed, n)], paper-default quorum configuration, [Dynamic]
     membership when it declares members/kill/join events and [Static]
@@ -33,7 +42,7 @@ val run_udp :
   ?time_scale:float ->
   ?progress:(string -> unit) ->
   Scenario.t ->
-  (outcome, string) result
+  (outcome, error) result
 (** Replay over real loopback UDP sockets with the deploy-local
     compressed timescales.  [time_scale] (default [1/30], the ratio of
     the deploy 0.5 s routing interval to the paper's 15 s) multiplies
@@ -41,6 +50,4 @@ val run_udp :
     Node crashes close real sockets and restarts boot fresh cores that
     rejoin; membership scenarios run the runtime's [`Dynamic] mode, so
     kills are real socket closures and joins real quorum admissions.
-    Errors: invalid scenarios and socket-less environments ([Error] with
-    the errno text — callers treat it as a skip, matching
-    [apor deploy-local]). *)
+    [`Sockets_unavailable] carries the errno text. *)

@@ -2,10 +2,14 @@
     check invariants, report — the engine behind [apor traffic] and the
     dataplane bench/CI gates.
 
-    Both runs attach the full oracle (quorum intersection, one-hop
-    optimality, traffic conservation) plus the datagram-conservation
-    check, and fold the verdicts into the report.  The sim run is
-    byte-deterministic: equal arguments produce byte-identical [json]. *)
+    One run body, written over {!Apor_overlay_core.Host.S}, serves both
+    runtimes: start the overlay, attach the {!Driver} at the end of the
+    warmup, stop it at the horizon, drain, then check conservation.  Both
+    runs attach the full oracle (quorum intersection, one-hop optimality,
+    traffic conservation) plus the datagram-conservation check, and fold
+    the verdicts into the report.  Rates are over [warmup, horizon].  The
+    sim run is byte-deterministic: equal arguments produce byte-identical
+    [json]. *)
 
 type report = {
   json : string;  (** one JSON object, newline-terminated *)
@@ -31,9 +35,7 @@ val run_sim :
 (** Virtual-time run on {!Apor_overlay.Cluster} (defaults: n = 144,
     seed = 1, 300 virtual seconds after a 120 s warmup, the default
     workload, no churn).  [churn] installs the PlanetLab failure
-    profile.  The driver stops at the horizon and the engine drains
-    briefly so in-flight datagrams settle before conservation is
-    checked. *)
+    profile.  The drain is 5 virtual seconds. *)
 
 val run_udp :
   ?n:int ->
@@ -43,9 +45,8 @@ val run_udp :
   ?base_port:int ->
   ?spec:Workload.spec ->
   unit ->
-  (report, string) result
+  (report, [ `Sockets_unavailable of string ]) result
 (** Wall-clock run on {!Apor_deploy.Udp_runtime} over loopback
     (defaults: n = 8, seed = 1, 6 s of traffic after a 3 s control-plane
     warmup, base port 9400), with the deploy-local compressed protocol
-    timescales.  [Error] (with a message starting ["sockets unavailable"])
-    when loopback sockets cannot be bound — sandboxed CI skips on it. *)
+    timescales and a 0.5 s drain. *)

@@ -1,15 +1,4 @@
-(** Data plane on the simulator: drives a {!Apor_overlay.Cluster}.
-
-    Attaching installs the datagram sink (the forwarder) on the cluster
-    and arms the workload's arrival timers on its engine; traffic then
-    flows whenever the cluster runs.  Each datagram is originated along
-    the source's {e current} recommendation — direct, or via the advised
-    one-hop intermediate — and forwarded at the intermediate straight to
-    the destination.  Every transport hop is a normal engine send, so
-    {!Apor_sim.Traffic} accounting and the byte-conservation invariant
-    hold without special cases; datagram lifecycle events
-    ([Dgram_sent] …) additionally feed the oracle's datagram-conservation
-    check. *)
+(** {!Driver} on the simulator. *)
 
 type t
 
@@ -22,16 +11,7 @@ val attach :
   ?start_at:float ->
   unit ->
   t
-(** Install the sink and schedule the first arrival at [start_at]
-    (default: now).  [seed] derives the workload's private RNG stream
-    (label ["dataplane.workload"]) — independent of the cluster's node
-    streams, so attaching a workload never perturbs protocol draws. *)
 
 val sent : t -> int
-(** Datagrams originated — the data plane's own count, compared against
-    the trace by {!Apor_trace.Oracle.check_datagrams}. *)
-
 val delivered : t -> int
-
 val stop : t -> unit
-(** Stop originating new datagrams (in-flight ones still deliver). *)

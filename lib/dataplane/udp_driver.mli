@@ -1,19 +1,4 @@
-(** Data plane on the real transport: drives a
-    {!Apor_deploy.Udp_runtime}.
-
-    Attaching installs the data sink (batch parser + forwarder) and arms
-    the workload's arrival timers on the runtime's timer heap; traffic
-    then flows whenever the runtime runs.  Origination policy matches
-    {!Sim_driver} — send along the source's current recommendation,
-    relay at the advised intermediate — but over real sockets via
-    {!Apor_deploy.Udp_runtime.send_data}'s batched zero-copy path.
-
-    Real-transport differences from the simulator driver: duplicated
-    frames (fault injection) can arrive twice, so deliveries are
-    deduplicated by id before counting; and there is no latency matrix
-    to supply a direct-path baseline, so stretch uses the minimum
-    observed zero-hop latency per (origin, dst) pair — pairs never seen
-    direct contribute latency but no stretch sample. *)
+(** {!Driver} on loopback UDP. *)
 
 type t
 
@@ -26,12 +11,7 @@ val attach :
   ?start_at:float ->
   unit ->
   t
-(** Install the sink and schedule the first arrival at [start_at] on the
-    runtime clock (default: now).  [seed] derives the workload's private
-    RNG stream (label ["dataplane.workload"]), as on the simulator. *)
 
 val sent : t -> int
 val delivered : t -> int
-
 val stop : t -> unit
-(** Stop originating new datagrams (in-flight ones still deliver). *)

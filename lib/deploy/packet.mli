@@ -2,10 +2,10 @@
 
     One user datagram on the real transport is a fixed 19-byte header
     followed by [payload_len] filler bytes.  The header leads with a
-    magic byte distinct from the control {!Apor_deploy.Frame} magic, so
+    magic byte distinct from the control {!Frame} magic, so
     a receiving socket can classify a datagram by its first byte; the
     explicit payload length lets many packets ride one UDP datagram back
-    to back (the batch path of {!Apor_deploy.Udp_runtime.send_data}).
+    to back (the batch path of {!Udp_runtime.send_dgram}).
 
     Layout (big-endian):
     {v
@@ -49,6 +49,19 @@ val max_hops : int
     dropped by the forwarder (one-hop routing needs 1; the budget only
     guards against pathological loops). *)
 
+val write :
+  bytes ->
+  pos:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload_len:int ->
+  unit
+(** {!encode_into} from the fields themselves: the zero-allocation form
+    the UDP runtime's batch path uses. *)
+
 val encode_into : t -> bytes -> pos:int -> unit
 (** Write the packet (header plus deterministic filler payload) at
     [pos]; exactly {!size} bytes.  Zero allocation — this is the batch
@@ -62,6 +75,15 @@ val decode_from : bytes -> pos:int -> limit:int -> (t * int, string) result
 (** Parse one packet starting at [pos], bounded by [limit]; returns the
     packet and the offset just past it.  Total: bad magic/version,
     truncation and out-of-range fields yield [Error]. *)
+
+val scan :
+  bytes ->
+  len:int ->
+  (id:int -> origin:int -> dst:int -> hops:int -> sent_at_us:int -> payload_len:int -> unit) ->
+  int
+(** Hand every whole packet packed back to back in the first [len] bytes
+    to the callback, field by field, without allocating; stop at the
+    first malformed byte and return how many leading bytes were valid. *)
 
 val decode : bytes -> (t, string) result
 (** Single-packet form: the buffer must contain exactly one packet. *)

@@ -2,65 +2,6 @@ open Apor_util
 module Core = Apor_overlay_core
 module Ev = Apor_trace.Event
 
-(* A binary min-heap of armed timers, FIFO within equal deadlines. *)
-module Timers = struct
-  type entry = { at : float; seq : int; run : unit -> unit }
-
-  type t = { mutable a : entry array; mutable len : int; mutable seq : int }
-
-  let dummy = { at = 0.; seq = 0; run = ignore }
-
-  let create () = { a = Array.make 64 dummy; len = 0; seq = 0 }
-
-  let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
-
-  let add t ~at run =
-    if t.len = Array.length t.a then begin
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.a 0 bigger 0 t.len;
-      t.a <- bigger
-    end;
-    let e = { at; seq = t.seq; run } in
-    t.seq <- t.seq + 1;
-    let i = ref t.len in
-    t.len <- t.len + 1;
-    t.a.(!i) <- e;
-    while !i > 0 && before t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := p
-    done
-
-  let next_at t = if t.len = 0 then None else Some t.a.(0).at
-
-  let pop_due t ~now =
-    if t.len = 0 || t.a.(0).at > now then None
-    else begin
-      let top = t.a.(0) in
-      t.len <- t.len - 1;
-      t.a.(0) <- t.a.(t.len);
-      t.a.(t.len) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && before t.a.(l) t.a.(!smallest) then smallest := l;
-        if r < t.len && before t.a.(r) t.a.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = t.a.(!smallest) in
-          t.a.(!smallest) <- t.a.(!i);
-          t.a.(!i) <- tmp;
-          i := !smallest
-        end
-      done;
-      Some top.run
-    end
-end
-
 type stats = {
   mutable datagrams_sent : int;
   mutable datagrams_received : int;
@@ -114,19 +55,31 @@ type endpoint = {
 
 type membership = [ `Static | `Dynamic of int ]
 
+type dgram_sink =
+  now:float ->
+  node:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit
+
 type t = {
   n : int;
   config : Core.Config.t;
   membership : membership;
   base_port : int;
   clock : Clock.t;
-  timers : Timers.t;
+  timers : (unit -> unit) Heap.t; (* armed timers, FIFO within equal deadlines *)
   endpoints : endpoint array;
   recv_buf : bytes;
   stats : stats;
   trace : Apor_trace.Collector.t option;
-  mutable data_sink :
-    (now:float -> node:int -> wire_src:int -> buf:bytes -> len:int -> int) option;
+  mutable data_sink : dgram_sink option;
+  cut : bool array; (* src * n + dst -> link forced down *)
+  direct : float array; (* origin * n + dst -> min zero-hop latency, s *)
   mutable fault : (now:float -> src:int -> dst:int -> frame_fate) option;
   mutable corrupt_cycle : int;
   seed : int;
@@ -231,50 +184,55 @@ let append_data_copy t ep link buf =
   let pos = reserve_data t ep link size in
   Bytes.blit buf 0 link.dbuf pos size
 
-let send_data t ~src ~dst ~size ~fill =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg "Udp_runtime.send_data: port out of range";
-  if size <= 0 || size > data_mtu then
-    invalid_arg "Udp_runtime.send_data: size outside (0, mtu]";
+(* A frame on a forced-down link is lost like any injected drop, before
+   the fault hook is asked (so it consumes none of the hook's draws). *)
+let fate t ~src ~dst =
+  if t.cut.((src * t.n) + dst) then Drop
+  else match t.fault with None -> Pass | Some f -> f ~now:(Clock.now t.clock) ~src ~dst
+
+let send_dgram t ~src ~next ~id ~origin ~dst ~hops ~sent_at_us ~payload =
+  if src < 0 || src >= t.n || next < 0 || next >= t.n then
+    invalid_arg "Udp_runtime.send_dgram: port out of range";
+  let size = Packet.header_bytes + payload in
+  if payload < 0 || size > data_mtu then
+    invalid_arg "Udp_runtime.send_dgram: payload outside [0, mtu]";
   let ep = t.endpoints.(src) in
   if ep.alive then begin
     (* Same convention as control frames: charge and trace the sender
        before the fault fate — a lost frame still cost its sender. *)
     ep.accounted_bytes <- ep.accounted_bytes + size;
-    emit t (Ev.Send { cls = Msgclass.Data; src; dst; bytes = size });
+    emit t (Ev.Send { cls = Msgclass.Data; src; dst = next; bytes = size });
     t.stats.data_frames_sent <- t.stats.data_frames_sent + 1;
-    let link = ep.links.(dst) in
+    let link = ep.links.(next) in
     let append () =
       let pos = reserve_data t ep link size in
-      fill link.dbuf pos;
+      Packet.write link.dbuf ~pos ~id ~origin ~dst ~hops ~sent_at_us ~payload_len:payload;
       pos
     in
-    match t.fault with
-    | None -> ignore (append ())
-    | Some fate -> (
-        match fate ~now:(Clock.now t.clock) ~src ~dst with
-        | Pass -> ignore (append ())
-        | Drop -> t.stats.data_frames_dropped <- t.stats.data_frames_dropped + 1
-        | Corrupt ->
-            let pos = append () in
-            Bytes.set_uint8 link.dbuf pos (Bytes.get_uint8 link.dbuf pos lxor 0xFF)
-        | Duplicate ->
-            ignore (append ());
-            ignore (append ())
-        | Delay d ->
-            let pos = append () in
-            let copy = Bytes.sub link.dbuf pos size in
-            link.dlen <- pos;
-            link.dframes <- link.dframes - 1;
-            Timers.add t.timers
-              ~at:(Clock.now t.clock +. Float.max 0. d)
-              (fun () -> if ep.alive then append_data_copy t ep link copy))
+    match fate t ~src ~dst:next with
+    | Pass -> ignore (append ())
+    | Drop -> t.stats.data_frames_dropped <- t.stats.data_frames_dropped + 1
+    | Corrupt ->
+        let pos = append () in
+        Bytes.set_uint8 link.dbuf pos (Bytes.get_uint8 link.dbuf pos lxor 0xFF)
+    | Duplicate ->
+        ignore (append ());
+        ignore (append ())
+    | Delay d ->
+        let pos = append () in
+        let copy = Bytes.sub link.dbuf pos size in
+        link.dlen <- pos;
+        link.dframes <- link.dframes - 1;
+        Heap.push t.timers ~key:(Clock.now t.clock +. Float.max 0. d)
+          (fun () -> if ep.alive then append_data_copy t ep link copy)
   end
 
-let set_data_sink t sink = t.data_sink <- sink
+let set_dgram_sink t sink = t.data_sink <- Some sink
 
 let schedule t ~delay f =
-  Timers.add t.timers ~at:(Clock.now t.clock +. Float.max 0. delay) f
+  Heap.push t.timers ~key:(Clock.now t.clock +. Float.max 0. delay) f
+
+let schedule_at t ~time f = Heap.push t.timers ~key:time f
 
 let pending_sends t =
   Array.exists
@@ -309,24 +267,20 @@ let send_from t ep ~dst_port msg =
       flush_link t ep link
     in
     let frame = Frame.encode ~src_port:ep.port msg in
-    match t.fault with
-    | None -> enqueue frame
-    | Some fate -> (
-        match fate ~now:(Clock.now t.clock) ~src:ep.port ~dst:dst_port with
-        | Pass -> enqueue frame
-        | Drop ->
-            (* vanishes like a lost datagram; already accounted at the src *)
-            t.stats.frames_dropped <- t.stats.frames_dropped + 1;
-            link.lstats.dropped_injected <- link.lstats.dropped_injected + 1
-        | Corrupt -> enqueue (corrupt_frame t frame)
-        | Duplicate ->
-            enqueue frame;
-            enqueue (Bytes.copy frame)
-        | Delay d ->
-            let inc = ep.incarnation in
-            Timers.add t.timers
-              ~at:(Clock.now t.clock +. Float.max 0. d)
-              (fun () -> if ep.alive && ep.incarnation = inc then enqueue frame))
+    match fate t ~src:ep.port ~dst:dst_port with
+    | Pass -> enqueue frame
+    | Drop ->
+        (* vanishes like a lost datagram; already accounted at the src *)
+        t.stats.frames_dropped <- t.stats.frames_dropped + 1;
+        link.lstats.dropped_injected <- link.lstats.dropped_injected + 1
+    | Corrupt -> enqueue (corrupt_frame t frame)
+    | Duplicate ->
+        enqueue frame;
+        enqueue (Bytes.copy frame)
+    | Delay d ->
+        let inc = ep.incarnation in
+        Heap.push t.timers ~key:(Clock.now t.clock +. Float.max 0. d)
+          (fun () -> if ep.alive && ep.incarnation = inc then enqueue frame)
   end
 
 let make_socket ~base_port i =
@@ -381,8 +335,7 @@ let wire_core t ep =
       ~now:(fun () -> Clock.now t.clock)
       ~send:(fun ~dst_port msg -> send_from t ep ~dst_port msg)
       ~schedule:(fun ~delay f ->
-        Timers.add t.timers
-          ~at:(Clock.now t.clock +. delay)
+        Heap.push t.timers ~key:(Clock.now t.clock +. delay)
           (fun () -> if ep.alive && ep.incarnation = inc then f ()))
       ~on_recommend:(fun ~server_port:_ ~dst_port ~hop_port:_ ->
         if dst_port >= 0 && dst_port < t.n && not ep.covered.(dst_port) then begin
@@ -451,7 +404,7 @@ let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed (
           undecodable = 0;
         })
   in
-  let timers = Timers.create () in
+  let timers = Heap.create () in
   let t =
     {
       n;
@@ -475,6 +428,8 @@ let create ~config ~n ?(membership = `Static) ?(base_port = 9000) ?trace ~seed (
         };
       trace;
       data_sink = None;
+      cut = Array.make (n * n) false;
+      direct = Array.make (n * n) Float.infinity;
       fault = None;
       corrupt_cycle = 0;
       seed;
@@ -525,11 +480,8 @@ let join_node t i =
     | None -> ()
 
 let fire_due_timers t =
-  let continue = ref true in
-  while !continue do
-    match Timers.pop_due t.timers ~now:(Clock.now t.clock) with
-    | Some run -> run ()
-    | None -> continue := false
+  while Heap.min_key t.timers <= Clock.now t.clock do
+    match Heap.pop t.timers with Some (_, run) -> run () | None -> ()
   done
 
 let receive_ready t ready =
@@ -544,10 +496,12 @@ let receive_ready t ready =
             | len, from
               when t.data_sink <> None
                    && (len = 0 || Bytes.get_uint8 t.recv_buf 0 <> Frame.magic) -> (
-                (* Not a control frame: a data-plane batch.  The sink
-                   parses the frames in place (the buffer is reused — it
-                   must not retain it) and reports how many bytes were
-                   valid; only those count toward conservation. *)
+                (* Not a control frame: a data-plane batch.  Hand its
+                   packets to the sink field by field and count only the
+                   valid leading bytes toward conservation.  A packet
+                   that reached its destination with no forward times
+                   the direct path: the stretch baseline is the fastest
+                   such trip seen per pair. *)
                 t.stats.datagrams_received <- t.stats.datagrams_received + 1;
                 match t.data_sink with
                 | Some sink ->
@@ -556,9 +510,20 @@ let receive_ready t ready =
                       | Unix.ADDR_INET (_, udp) -> udp - t.base_port
                       | _ -> -1
                     in
+                    let now = Clock.now t.clock in
                     let consumed =
-                      sink ~now:(Clock.now t.clock) ~node:ep.port ~wire_src
-                        ~buf:t.recv_buf ~len
+                      Packet.scan t.recv_buf ~len
+                        (fun ~id ~origin ~dst ~hops ~sent_at_us ~payload_len ->
+                          if hops = 0 && dst = ep.port && origin >= 0 && origin < t.n
+                          then begin
+                            let k = (origin * t.n) + dst in
+                            let lat =
+                              Float.max 0. (now -. (float_of_int sent_at_us *. 1e-6))
+                            in
+                            if lat < t.direct.(k) then t.direct.(k) <- lat
+                          end;
+                          sink ~now ~node:ep.port ~id ~origin ~dst ~hops ~sent_at_us
+                            ~payload:payload_len)
                     in
                     if consumed > 0 then begin
                       ep.accounted_bytes <- ep.accounted_bytes + consumed;
@@ -602,28 +567,27 @@ let receive_ready t ready =
           done)
     ready
 
-let run t ~duration =
+let run_until t deadline =
   if t.closed then invalid_arg "Udp_runtime.run: closed";
-  let deadline = Clock.now t.clock +. duration in
   let continue = ref true in
   while !continue do
+    (* The turn that starts at or past the deadline is the last: its
+       timer phase fires everything due by then, so a timer armed for the
+       deadline itself always runs before this returns. *)
+    let turn = Clock.now t.clock in
     fire_due_timers t;
     Array.iter
       (fun ep -> if ep.alive then Array.iter (fun l -> flush_link t ep l) ep.links)
       t.endpoints;
     flush_data_batches t;
     let now = Clock.now t.clock in
-    if now >= deadline then continue := false
+    if turn >= deadline then continue := false
     else begin
       let fds =
         Array.fold_left (fun acc ep -> if ep.alive then ep.fd :: acc else acc) [] t.endpoints
       in
-      let until_deadline = deadline -. now in
-      let until_timer =
-        match Timers.next_at t.timers with
-        | Some at -> Float.max 0. (at -. now)
-        | None -> until_deadline
-      in
+      let until_deadline = Float.max 0. (deadline -. now) in
+      let until_timer = Float.max 0. (Heap.min_key t.timers -. now) in
       let cap = if pending_sends t then 0.01 else 0.25 in
       let timeout = Float.min cap (Float.min until_deadline until_timer) in
       match Unix.select fds [] [] timeout with
@@ -631,6 +595,8 @@ let run t ~duration =
       | exception Unix.Unix_error (EINTR, _, _) -> ()
     end
   done
+
+let run t ~duration = run_until t (Clock.now t.clock +. duration)
 
 let check_port t i name =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Udp_runtime.%s: out of range" name)
@@ -695,6 +661,21 @@ let restart_node t i =
 
 let set_fault_injector t f = t.fault <- f
 
+let set_link_up t a b up =
+  check_port t a "set_link_up";
+  check_port t b "set_link_up";
+  t.cut.((a * t.n) + b) <- not up;
+  t.cut.((b * t.n) + a) <- not up
+
+let link_up t a b =
+  check_port t a "link_up";
+  check_port t b "link_up";
+  t.endpoints.(a).alive && t.endpoints.(b).alive && not t.cut.((a * t.n) + b)
+
+let stretch_baseline t ~origin ~dst =
+  let d = t.direct.((origin * t.n) + dst) in
+  if d = Float.infinity then None else Some d
+
 let coverage t =
   let covered = Array.fold_left (fun acc ep -> acc + ep.covered_count) 0 t.endpoints in
   (covered, t.n * (t.n - 1))
@@ -728,3 +709,10 @@ let close t =
       (fun ep -> if ep.alive then try Unix.close ep.fd with Unix.Unix_error _ -> ())
       t.endpoints
   end
+
+let with_runtime ~config ~n ~membership ~base_port ~trace ~seed f =
+  match create ~config ~n ~membership ~base_port ~trace ~seed () with
+  | exception Unix.Unix_error (err, fn, _) ->
+      Error
+        (`Sockets_unavailable (Printf.sprintf "%s in %s" (Unix.error_message err) fn))
+  | t -> Ok (Fun.protect ~finally:(fun () -> close t) (fun () -> f t))

@@ -1,6 +1,7 @@
 (** The real-transport runtime: N {!Apor_overlay_core.Node_core} machines
     in one process, each bound to its own loopback UDP socket, driven by a
-    select loop, a timer heap and the monotonic {!Clock}.
+    select loop, a timer heap and the monotonic {!Clock}.  It is the
+    deployment's {!Apor_overlay_core.Host.S}.
 
     This is the deployment counterpart of {!Apor_overlay.Sim_runtime}:
     the protocol code is byte-for-byte the same state machine — only the
@@ -30,7 +31,8 @@
     evidence a crashed process leaves) and silences the node's timers via
     an incarnation counter; a restart rebinds the port and boots a {e
     fresh} core that rejoins through [Start]/[Install_view].
-    {!set_fault_injector} interposes on every outbound frame at the
+    {!set_link_up} forces links down (their frames are dropped), and
+    {!set_fault_injector} interposes on every other outbound frame at the
     {!Frame} layer: drop, corrupt (one header byte flipped — receivers
     reject it, or discard it on the out-of-range source-port guard),
     duplicate, or delay by a given number of seconds (reordering). *)
@@ -42,7 +44,7 @@ type stats = {
   mutable frames_dropped : int;
       (** Every frame that died in the transport: retry budget exhausted,
           peer socket gone, undecodable on arrival, or injected drop. *)
-  mutable data_frames_sent : int;  (** user datagrams handed to {!send_data} *)
+  mutable data_frames_sent : int;  (** user datagrams handed to {!send_dgram} *)
   mutable data_batches_sent : int;  (** UDP datagrams carrying data batches *)
   mutable data_frames_dropped : int;
       (** data frames eaten by the injector or socket backpressure *)
@@ -87,11 +89,29 @@ val create :
     unchanged.  @raise Unix.Unix_error when sockets are unavailable (all
     already-bound sockets are closed first). *)
 
+val with_runtime :
+  config:Apor_overlay_core.Config.t ->
+  n:int ->
+  membership:membership ->
+  base_port:int ->
+  trace:Apor_trace.Collector.t ->
+  seed:int ->
+  (t -> 'a) ->
+  ('a, [> `Sockets_unavailable of string ]) result
+(** {!create}, apply the function, {!close} (also when it raises).
+    [`Sockets_unavailable] (the errno text) when the sockets cannot be
+    bound — sandboxed CI skips on it. *)
+
 val start : t -> unit
 
+val run_until : t -> float -> unit
+(** Drive the select loop until the clock reads the given time: each
+    turn fires due timers, flushes send queues, then waits for frames.
+    The turn that starts at or past the deadline is the last, so every
+    timer due by the deadline has fired on return. *)
+
 val run : t -> duration:float -> unit
-(** Drive the select loop for [duration] wall-clock seconds: fire due
-    timers, flush send queues, deliver received frames. *)
+(** [run_until] [duration] wall-clock seconds from now. *)
 
 val now : t -> float
 (** Seconds since [create] on the runtime's clock. *)
@@ -146,41 +166,69 @@ val join_node : t -> int -> unit
 val node_alive : t -> int -> bool
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Arm a runtime-level timer (not tied to any node incarnation) — the
-    data-plane drivers' arrival and timeout clocks. *)
+(** Arm a runtime-level timer (not tied to any node incarnation). *)
+
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
+(** {!schedule} at an absolute time on the runtime clock. *)
+
+val set_link_up : t -> int -> int -> bool -> unit
+(** Force the (undirected) link down or lift it: while down, every frame
+    either end sends the other is dropped and counted as injected. *)
+
+val link_up : t -> int -> int -> bool
+(** Both ends alive and the link not forced down. *)
 
 (** {1 Data plane}
 
-    Transport hooks for [lib/dataplane]: user datagram frames are packed
-    back to back into one reused per-link buffer ({!data_mtu} bytes) and
-    shipped as a single UDP datagram per loop turn — zero-copy on the
-    send path, one [sendto] for many frames.  Data traffic is
+    Transport hooks for [lib/dataplane]: user datagrams are encoded as
+    {!Packet}s in place, back to back, into one reused per-link buffer
+    ({!data_mtu} bytes) and shipped as a single UDP datagram per loop
+    turn — one [sendto] for many frames.  Data traffic is
     best-effort end to end: backpressure or a dead peer drops the batch
     (counted, never retried).  A receiving socket classifies datagrams
     by first byte: the control {!Frame} magic goes to the protocol core,
     anything else to the data sink. *)
 
 val data_mtu : int
-(** Batch buffer capacity; also the largest single frame {!send_data}
-    accepts. *)
+(** Batch buffer capacity; bounds a single datagram's {!Packet.size}. *)
 
-val send_data : t -> src:int -> dst:int -> size:int -> fill:(bytes -> int -> unit) -> unit
-(** Append one [size]-byte data frame to the [src -> dst] batch;
-    [fill buf pos] must write exactly [size] bytes at [pos].  The sender
-    is charged and a [Data]-class Send traced before the fault injector's
-    verdict, mirroring control frames; [fill] may run more than once
-    (frame duplication) — it must be a pure encoder.
-    @raise Invalid_argument out of range or [size] outside (0, mtu]. *)
+val send_dgram :
+  t ->
+  src:int ->
+  next:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit
+(** Encode one {!Packet} straight into the [src -> next] batch.  The
+    sender is charged and a [Data]-class Send traced before the link and
+    fault verdicts, mirroring control frames.
+    @raise Invalid_argument out of range or a packet over {!data_mtu}. *)
 
-val set_data_sink :
-  t -> (now:float -> node:int -> wire_src:int -> buf:bytes -> len:int -> int) option -> unit
-(** Install the data-plane receiver.  Called once per arriving non-control
-    datagram with the receive buffer (reused — parse in place, do not
-    retain), the receiving node, and [wire_src] (the sending node derived
-    from the source UDP port, [-1] when unattributable).  Must return how
-    many leading bytes were valid data frames; only those are accounted
-    and traced as a [Data]-class Deliver, the remainder counts as
-    undecodable. *)
+val set_dgram_sink :
+  t ->
+  (now:float ->
+  node:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit) ->
+  unit
+(** Install the data-plane receiver: called with the fields of every
+    valid packet of every arriving data batch.  The valid leading bytes
+    of a batch are accounted and traced as one [Data]-class Deliver; the
+    rest counts as undecodable. *)
+
+val stretch_baseline : t -> origin:int -> dst:int -> float option
+(** The fastest zero-hop trip seen from [origin] to [dst] — the time
+    from the packet's microsecond origination stamp to its arrival — or
+    [None] before the first. *)
 
 val set_fault_injector :
   t -> (now:float -> src:int -> dst:int -> frame_fate) option -> unit

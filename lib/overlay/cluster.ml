@@ -4,8 +4,18 @@ open Apor_overlay_core
 
 type membership = Static | Dynamic of { initial : int; rtt_ms : float }
 
+type dgram_sink =
+  now:float ->
+  node:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit
+
 type t = {
-  config : Config.t;
   n : int;
   initial : int; (* nodes live at start; the rest join via [join_node] *)
   engine : Message.t Engine.t;
@@ -13,7 +23,7 @@ type t = {
   static_view : bool;
   mutable next_data_id : int;
   deliveries : (int, float) Hashtbl.t; (* data packet id -> delivery time *)
-  dgram_sink : (now:float -> node:int -> Message.t -> unit) option ref;
+  dgram_sink : dgram_sink option ref;
 }
 
 let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed () =
@@ -64,10 +74,11 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
   let dgram_sink = ref None in
   Engine.set_handler engine (fun ~dst ~src msg ->
       match (msg, !dgram_sink) with
-      | Message.Dgram _, Some sink ->
+      | Message.Dgram d, Some sink ->
           (* User datagrams short-circuit to the data-plane forwarder;
              they never enter the protocol state machines. *)
-          sink ~now:(Engine.now engine) ~node:dst msg
+          sink ~now:(Engine.now engine) ~node:dst ~id:d.id ~origin:d.origin ~dst:d.dst
+            ~hops:d.hops ~sent_at_us:d.sent_at_us ~payload:d.payload
       | _ -> (
           match runtimes.(dst) with
           | Some rt -> Runtime.dispatch rt (Node_core.Deliver { src_port = src; msg })
@@ -107,7 +118,6 @@ let create ~config ~rtt_ms ?loss ?(membership = Static) ?trace ?scheduler ~seed 
         Node.of_runtime ~now:(fun () -> Engine.now engine) rt)
   in
   {
-    config;
     n;
     initial;
     engine;
@@ -150,12 +160,19 @@ let now t = Engine.now t.engine
 let best_hop t ~src ~dst = Node.best_hop (node t src) ~dst_port:dst
 let freshness t ~src ~dst = Node.freshness (node t src) ~dst_port:dst
 
-let route_ok t ~src ~dst =
-  let net = network t in
-  match best_hop t ~src ~dst with
-  | None -> Network.link_up net src dst
-  | Some hop when hop = dst || hop = src -> Network.link_up net src dst
-  | Some hop -> Network.link_up net src hop && Network.link_up net hop dst
+let node_core t port = Node.core (node t port)
+let schedule_at t ~time f = Engine.schedule_at t.engine ~time f
+let link_up t a b = Network.link_up (network t) a b
+
+let accounted_bytes t port =
+  let traffic = traffic t in
+  let t1 = now t +. 1. in
+  List.fold_left
+    (fun sum cls -> sum + Traffic.bytes_in_range traffic ~cls ~node:port ~t0:0. ~t1)
+    0 Traffic.all_classes
+
+let stretch_baseline t ~origin ~dst =
+  Some (Network.rtt_ms (network t) origin dst /. 2. /. 1000.)
 
 let routing_kbps t ~node:port ~t0 ~t1 =
   Traffic.kbps (traffic t) ~classes:[ Traffic.Routing ] ~node:port ~t0 ~t1
@@ -188,8 +205,9 @@ let data_delivered_at t id = Hashtbl.find_opt t.deliveries id
 
 let set_dgram_sink t sink = t.dgram_sink := Some sink
 
-let send_dgram t ~src ~dst msg =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
+let send_dgram t ~src ~next ~id ~origin ~dst ~hops ~sent_at_us ~payload =
+  if src < 0 || src >= t.n || next < 0 || next >= t.n then
     invalid_arg "Cluster.send_dgram: port out of range";
-  Engine.send t.engine ~cls:(Message.cls msg) ~src ~dst ~bytes:(Message.size_bytes msg)
-    msg
+  let msg = Message.Dgram { id; origin; dst; hops; sent_at_us; payload } in
+  Engine.send t.engine ~cls:Msgclass.Data ~src ~dst:next
+    ~bytes:(Message.size_bytes msg) msg

@@ -1,5 +1,5 @@
 (** A whole overlay on a simulated network: the in-system emulation of
-    Section 6.
+    Section 6, and the simulator's {!Apor_overlay_core.Host.S}.
 
     Builds the network, engine and nodes, wires message dispatch, and
     exposes the queries the benches sample.  With [Static] membership
@@ -71,15 +71,21 @@ val now : t -> float
 
 val best_hop : t -> src:int -> dst:int -> int option
 
-val freshness : t -> src:int -> dst:int -> float option
+val node_core : t -> int -> Node_core.t
 
-val route_ok : t -> src:int -> dst:int -> bool
-(** Would a packet from [src] to [dst] get through {e right now} along
-    the current route — the direct link when no recommendation is
-    installed, otherwise both legs of the recommended one-hop path?
-    Ignores loss (a lossy link is degraded, not unavailable).  This is
-    the instantaneous form of the RON-style availability the chaos
-    scorer samples around fault windows. *)
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
+(** An engine timer at an absolute virtual time (clamped to now). *)
+
+val link_up : t -> int -> int -> bool
+(** The network's current liveness of the link (crashes are isolation). *)
+
+val accounted_bytes : t -> int -> int
+(** Every class of traffic the engine charged to the node, in + out. *)
+
+val stretch_baseline : t -> origin:int -> dst:int -> float option
+(** Always known: half the direct link's current RTT. *)
+
+val freshness : t -> src:int -> dst:int -> float option
 
 val routing_kbps : t -> node:int -> t0:float -> t1:float -> float
 (** Routing traffic only (link-state + recommendations), in + out — the
@@ -108,14 +114,34 @@ val send_data_direct : t -> src:int -> dst:int -> int
 val data_delivered_at : t -> int -> float option
 (** Virtual time a packet reached its destination, if it did. *)
 
-val set_dgram_sink : t -> (now:float -> node:int -> Message.t -> unit) -> unit
+val set_dgram_sink :
+  t ->
+  (now:float ->
+  node:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit) ->
+  unit
 (** Install the data-plane forwarder: every {!Message.Dgram} arriving at
-    any node is handed to [sink] at the transport boundary instead of the
-    node's protocol core.  [node] is the receiving port; the datagram's
-    addressing lives in the message itself.  [lib/dataplane] installs
-    this; at most one sink is active. *)
+    any node is handed to the sink, field by field, at the transport
+    boundary instead of the node's protocol core.  [node] is the
+    receiving port.  At most one sink is active. *)
 
-val send_dgram : t -> src:int -> dst:int -> Message.t -> unit
-(** Put a user datagram on the virtual wire from [src] to [dst] (one
+val send_dgram :
+  t ->
+  src:int ->
+  next:int ->
+  id:int ->
+  origin:int ->
+  dst:int ->
+  hops:int ->
+  sent_at_us:int ->
+  payload:int ->
+  unit
+(** Put a user datagram on the virtual wire from [src] to [next] (one
     transport hop, normal loss/latency sampling and [Data]-class traffic
     accounting).  @raise Invalid_argument out of range. *)

@@ -2,36 +2,13 @@
     it, behind the node-object API the benches and tests use.
 
     This is a convenience wrapper — the state machine itself lives in
-    {!Node_core} and performs no IO.  [create] builds a core and a
-    runtime from three transport callbacks (clock, send, timer);
-    {!Cluster} instead builds the runtime with {!Sim_runtime.create} and
-    wraps it via {!of_runtime}.  Port numbers are the node's addresses;
+    {!Node_core} and performs no IO.  {!Cluster} builds the runtime with
+    {!Sim_runtime.create} and wraps it via {!of_runtime}.  Port numbers are the node's addresses;
     rank-space bookkeeping is internal to the router. *)
 
 open Apor_overlay_core
 
-type callbacks = {
-  now : unit -> float;
-  send : dst_port:int -> Message.t -> unit;
-  schedule : delay:float -> (unit -> unit) -> unit;
-  deliver_data : id:int -> origin:int -> unit;
-      (** an application packet addressed to this node arrived *)
-}
-
 type t
-
-val create :
-  config:Config.t ->
-  port:int ->
-  capacity:int ->
-  ?trace:(Apor_trace.Event.t -> unit) ->
-  rng:Apor_util.Rng.t ->
-  callbacks ->
-  t
-(** [capacity] is the largest port + 1 ever addressable (sizes the monitor).
-    The node has static membership: it waits for {!install_view}.  [trace]
-    receives this node's protocol-level events (quorum algorithm only — the
-    full-mesh router has no rendezvous protocol to trace). *)
 
 val of_runtime : now:(unit -> float) -> Runtime.t -> t
 (** Wrap an already-wired runtime (e.g. from {!Sim_runtime.create});

@@ -26,12 +26,12 @@ let planetlab =
 
 type t = { flaky : bool array }
 
-let install ~engine ?(first_node = 0) ?last_node ~profile ~seed () =
+let install ~engine ~profile ~seed () =
   let network = Engine.network engine in
-  let last_node = Option.value last_node ~default:(Network.size network - 1) in
+  let size = Network.size network in
   let rng = Rng.split (Rng.make ~seed) "failures" in
-  let flaky = Array.make (Network.size network) false in
-  for i = first_node to last_node do
+  let flaky = Array.make size false in
+  for i = 0 to size - 1 do
     flaky.(i) <- Rng.bernoulli rng ~p:profile.flaky_fraction
   done;
   let base_rate =
@@ -53,8 +53,8 @@ let install ~engine ?(first_node = 0) ?last_node ~profile ~seed () =
               schedule_failure i j rate))
     end
   in
-  for i = first_node to last_node do
-    for j = i + 1 to last_node do
+  for i = 0 to size - 1 do
+    for j = i + 1 to size - 1 do
       schedule_failure i j ((node_rate i +. node_rate j) /. 2.)
     done
   done;

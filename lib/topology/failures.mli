@@ -26,17 +26,8 @@ val planetlab : profile
 
 type t
 
-val install :
-  engine:'msg Engine.t ->
-  ?first_node:int ->
-  ?last_node:int ->
-  profile:profile ->
-  seed:int ->
-  unit ->
-  t
-(** Start the failure processes over links among nodes
-    [first_node .. last_node] (default: the whole network).  Links touching
-    nodes outside the range never fail.
+val install : engine:'msg Engine.t -> profile:profile -> seed:int -> unit -> t
+(** Start the failure processes over every link of the network.
     Deterministic for a given seed. *)
 
 val flaky_nodes : t -> int list

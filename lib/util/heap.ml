@@ -78,6 +78,7 @@ let pop t =
   end
 
 let peek t = if t.size = 0 then None else Some (t.data.(0).key, t.data.(0).value)
+let min_key t = if t.size = 0 then Float.infinity else t.data.(0).key
 
 let clear t =
   t.data <- [||];

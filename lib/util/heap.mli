@@ -27,4 +27,7 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum-key element without removing it. *)
 
+val min_key : 'a t -> float
+(** The minimum key, [infinity] when empty — {!peek} without allocating. *)
+
 val clear : 'a t -> unit

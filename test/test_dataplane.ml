@@ -15,7 +15,7 @@
      produce byte-identical report JSON. *)
 
 open Apor_util
-module Packet = Apor_dataplane.Packet
+module Packet = Apor_deploy.Packet
 module Workload = Apor_dataplane.Workload
 module Metrics = Apor_dataplane.Metrics
 module Run = Apor_dataplane.Run

@@ -169,21 +169,6 @@ let test_failures_flaky_nodes_worse () =
   let normal = List.filter (fun i -> not (Failures.is_flaky t i)) (List.init n Fun.id) in
   check_bool "flaky nodes see more failures" true (mean_of flaky > 2. *. mean_of normal)
 
-let test_failures_respect_node_range () =
-  let n = 10 in
-  let rtt = Array.make_matrix (n + 1) (n + 1) 50. in
-  for i = 0 to n do rtt.(i).(i) <- 0. done;
-  let net = Network.create ~rtt_ms:rtt ~seed:1 () in
-  let engine : unit Engine.t = Engine.create ~network:net () in
-  let profile =
-    { Failures.mean_time_to_failure_s = 20.; mean_downtime_s = 1000.;
-      flaky_fraction = 0.; flaky_rate_multiplier = 1. }
-  in
-  (* port n lies outside the range and is excluded from failures *)
-  let _ = Failures.install ~engine ~last_node:(n - 1) ~profile ~seed:5 () in
-  Engine.run_until engine 5000.;
-  check_int "out-of-range node untouched" 0 (Network.down_links net n)
-
 (* --- Scenario -------------------------------------------------------------------- *)
 
 let test_scenario_executes_timeline () =
@@ -237,7 +222,6 @@ let () =
           Alcotest.test_case "calm profile" `Quick test_failures_calm_never_fails;
           Alcotest.test_case "fail and recover" `Slow test_failures_links_fail_and_recover;
           Alcotest.test_case "flaky nodes worse" `Slow test_failures_flaky_nodes_worse;
-          Alcotest.test_case "respects node range" `Quick test_failures_respect_node_range;
         ] );
       ( "scenario",
         [

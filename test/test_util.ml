@@ -27,6 +27,7 @@ let test_heap_fifo_on_ties () =
 let test_heap_empty () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
+  check_bool "no min key" true (Heap.min_key h = Float.infinity);
   Alcotest.(check (option (pair (float 0.) int))) "pop none" None (Heap.pop h);
   Heap.push h ~key:1. 1;
   check_int "length" 1 (Heap.length h);
@@ -41,6 +42,7 @@ let test_heap_peek_does_not_remove () =
   let h = Heap.create () in
   Heap.push h ~key:2. "x";
   Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (2., "x")) (Heap.peek h);
+  Alcotest.(check (float 0.)) "min key" 2. (Heap.min_key h);
   check_int "still there" 1 (Heap.length h)
 
 let heap_sorts_random =
